@@ -39,9 +39,6 @@ namespace netpp {
 
 enum class BackendKind : std::uint8_t { kSingle, kSharded };
 
-/// "single" / "sharded".
-[[nodiscard]] const char* to_string(BackendKind kind);
-
 /// How an experiment driver instantiates its simulator.
 struct BackendConfig {
   BackendKind kind = BackendKind::kSingle;

@@ -48,6 +48,11 @@ struct ScenarioOptions {
   double sample_period_s = 0.02;
 };
 
+/// k of the canned k-ary fat tree behind `mech` and sharded `faults`. It
+/// has k pods, so k is also the most shards the sharded backend can split
+/// either canned fabric into.
+inline constexpr int kCannedFatTreeK = 4;
+
 /// The canned `faults` scenario pieces: 4x4 leaf-spine fabric (k=4 fat tree
 /// on the sharded backend), ring all-reduce training traffic, topology
 /// tailored to the ring demand before the run. Kept as data so snapshot

@@ -1,6 +1,7 @@
 #include "netpp/power/catalog.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace netpp {
@@ -91,7 +92,11 @@ int DeviceCatalog::switch_radix(Gbps port_speed) const {
   if (port_speed.value() <= 0.0) {
     throw std::invalid_argument("port speed must be positive");
   }
-  return static_cast<int>(config_.switch_capacity / port_speed);
+  const double radix = config_.switch_capacity / port_speed;
+  if (radix > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("port speed too small: switch radix overflows");
+  }
+  return static_cast<int>(radix);
 }
 
 }  // namespace netpp

@@ -314,16 +314,6 @@ class ShardedSimBackend final : public SimulatorBackend {
 
 }  // namespace
 
-const char* to_string(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kSingle:
-      return "single";
-    case BackendKind::kSharded:
-      return "sharded";
-  }
-  return "?";
-}
-
 std::unique_ptr<SimulatorBackend> make_backend(
     const Graph& graph, const BackendConfig& config,
     const FlowSimulator::Config& sim_config) {

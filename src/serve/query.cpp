@@ -1,74 +1,246 @@
 #include "netpp/serve/query.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <type_traits>
+
+#include "netpp/power/catalog.h"
+#include "netpp/topomodel/fattree.h"
 
 namespace netpp::serve {
 
-const char* to_string(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kCluster: return "cluster";
-    case QueryKind::kSavings: return "savings";
-    case QueryKind::kFaults: return "faults";
-    case QueryKind::kMech: return "mech";
-  }
-  return "cluster";
-}
-
-const char* to_string(QueryOutput output) {
-  switch (output) {
-    case QueryOutput::kCsv: return "csv";
-    case QueryOutput::kTable: return "table";
-    case QueryOutput::kMetrics: return "metrics";
-  }
-  return "csv";
-}
-
 namespace {
 
-double require_number(const JsonValue& value, const std::string& field) {
-  if (value.kind() != JsonKind::kNumber) {
-    throw ServeError{ErrorCode::kBadValue, field,
-                     "\"" + field + "\" must be a number, got " +
-                         to_string(value.kind())};
-  }
-  return value.as_number();
+constexpr const char* kCommands[] = {"cluster", "savings", "faults", "mech"};
+constexpr const char* kOutputs[] = {"csv", "table", "metrics"};
+
+[[noreturn]] void reject(ErrorCode code, const std::string& field,
+                         const std::string& why) {
+  throw ServeError{code, field, "\"" + field + "\" " + why};
 }
 
-const std::string& require_string(const JsonValue& value,
-                                  const std::string& field) {
+std::string join(std::span<const char* const> choices) {
+  std::string out;
+  for (const char* choice : choices) {
+    out += out.empty() ? "" : "|";
+    out += choice;
+  }
+  return out;
+}
+
+/// The index of string `value` in `choices`; anything else is a `code`
+/// error on `field`.
+std::size_t choose(const JsonValue& value, const std::string& field,
+                   std::span<const char* const> choices,
+                   ErrorCode code = ErrorCode::kBadValue) {
   if (value.kind() != JsonKind::kString) {
-    throw ServeError{ErrorCode::kBadValue, field,
-                     "\"" + field + "\" must be a string, got " +
-                         to_string(value.kind())};
+    reject(ErrorCode::kBadValue, field,
+           std::string{"must be a string, got "} + to_string(value.kind()));
   }
-  return value.as_string();
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    if (value.as_string() == choices[i]) return i;
+  }
+  throw ServeError{code, field,
+                   "unknown " + field + " \"" + value.as_string() +
+                       "\" (expected " + join(choices) + ")"};
 }
 
-void require_range(bool ok, const std::string& field,
-                   const std::string& constraint) {
-  if (!ok) {
-    throw ServeError{ErrorCode::kOutOfRange, field,
-                     "\"" + field + "\" " + constraint};
+/// The cluster model's fat-tree sizing preconditions as out_of_range on
+/// `knob`: the per-GPU bandwidth must give a usable switch radix and, with
+/// `SizeHosts`, the GPU count must fit a fat tree of that radix.
+template <bool SizeHosts>
+void check_cluster_model(const Knob& knob, const ScenarioOptions& o) {
+  const DeviceCatalog& catalog = o.cluster.catalog != nullptr
+                                     ? *o.cluster.catalog
+                                     : DeviceCatalog::paper_baseline();
+  try {
+    const FatTreeModel tree{catalog.switch_radix(o.cluster.bandwidth_per_gpu)};
+    if constexpr (SizeHosts) (void)tree.tiers_for_hosts(o.cluster.num_gpus);
+  } catch (const std::invalid_argument& e) {
+    reject(ErrorCode::kOutOfRange, knob.name,
+           std::string{"is refused by the cluster model: "} + e.what());
   }
 }
 
-long long require_integer(const JsonValue& value, const std::string& field) {
-  const double v = require_number(value, field);
-  if (v != std::floor(v) || std::fabs(v) > 9.007199254740992e15) {
-    throw ServeError{ErrorCode::kBadValue, field,
-                     "\"" + field + "\" must be an integer"};
+void check_backend(const Knob& knob, const ScenarioOptions& o) {
+  if (o.backend.kind == BackendKind::kSingle && o.backend.num_shards > 1) {
+    reject(ErrorCode::kBackendMismatch, knob.name,
+           std::to_string(o.backend.num_shards) +
+               " requires backend \"sharded\"");
   }
-  return static_cast<long long>(v);
 }
 
-[[noreturn]] void unknown_field(QueryKind kind, const std::string& field) {
-  throw ServeError{ErrorCode::kUnknownField, field,
-                   std::string{"\""} + to_string(kind) +
-                       "\" queries have no field \"" + field + "\""};
+constexpr unsigned bit(QueryKind kind) {
+  return 1u << static_cast<unsigned>(kind);
+}
+constexpr unsigned kAnalytic = bit(QueryKind::kCluster) |
+                               bit(QueryKind::kSavings);
+constexpr unsigned kSavings = bit(QueryKind::kSavings);
+constexpr unsigned kFaults = bit(QueryKind::kFaults);
+constexpr unsigned kMech = bit(QueryKind::kMech);
+constexpr unsigned kSimulated = kFaults | kMech;
+
+constexpr KnobType kNumber = KnobType::kNumber;
+constexpr KnobType kInteger = KnobType::kInteger;
+constexpr KnobType kEnum = KnobType::kEnum;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Knob::Bounds kPositive{0.0, kInf, true};
+constexpr Knob::Bounds kNonNegative{0.0, kInf, false};
+constexpr Knob::Bounds kUnit{0.0, 1.0, false};
+
+using S = ScenarioOptions;
+
+template <class T>
+constexpr double max_of(T S::*) {
+  return static_cast<double>(std::numeric_limits<T>::max());
+}
+
+/// The field at member path `o.*path...` (arithmetic or enum type).
+template <auto... Path>
+constexpr Knob::Field kField{
+    [](const S& o) { return static_cast<double>((o .* ... .* Path)); },
+    [](S& o, double v) {
+      auto& field = (o .* ... .* Path);
+      field = static_cast<std::remove_reference_t<decltype(field)>>(v);
+    }};
+
+constexpr Knob::Field kGbpsField{
+    [](const S& o) { return o.cluster.bandwidth_per_gpu.value(); },
+    [](S& o, double v) { o.cluster.bandwidth_per_gpu = Gbps{v}; }};
+
+// The enum values, in the enum orders of DegradedPolicy and BackendKind.
+constexpr const char* kPolicies[] = {"none", "wake-all", "re-tailor"};
+constexpr const char* kStacks[] = {"all", "dynamic", "tailor", "park",
+                                   "rate"};
+constexpr const char* kBackends[] = {"single", "sharded"};
+
+constexpr Knob::Field kStackField{
+    [](const S& o) {
+      return static_cast<double>(
+          std::find(std::begin(kStacks), std::end(kStacks), o.stack) -
+          std::begin(kStacks));
+    },
+    [](S& o, double v) { o.stack = kStacks[static_cast<int>(v)]; }};
+
+// gbps precedes gpus so that its check runs first: an unusable switch radix
+// is gbps's error, not the GPU count's.
+const Knob kKnobs[] = {
+    {"gbps", "--gbps", kAnalytic, kNumber, kPositive, kGbpsField, {},
+     check_cluster_model<false>},
+    {"gpus", "--gpus", kAnalytic, kNumber, kPositive,
+     kField<&S::cluster, &ClusterConfig::num_gpus>, {},
+     check_cluster_model<true>},
+    {"ratio", "--ratio", kAnalytic, kNumber, kUnit,
+     kField<&S::cluster, &ClusterConfig::communication_ratio>},
+    {"prop", "--prop", kSavings, kNumber, kUnit, kField<&S::prop>},
+    {"mtbf_s", "--mtbf", kFaults, kNumber, kNonNegative, kField<&S::mtbf_s>},
+    {"mttr_s", "--mttr", kFaults, kNumber, kPositive, kField<&S::mttr_s>},
+    {"headroom", "--headroom", kFaults, kNumber, kNonNegative,
+     kField<&S::headroom>},
+    {"seed", "--seed", kFaults, kInteger, kNonNegative,
+     kField<&S::fault_seed>},
+    {"policy", "--policy", kFaults, kEnum, {}, kField<&S::policy>, kPolicies},
+    {"sample_period_s", "--sample-period", kFaults, kNumber, kNonNegative,
+     kField<&S::sample_period_s>},
+    {"stack", "--stack", kMech, kEnum, {}, kStackField, kStacks},
+    {"iters", "--iters", kMech, kInteger,
+     {0.0, max_of(&S::mech_iterations), true}, kField<&S::mech_iterations>},
+    {"volume_gbit", "--volume", kMech, kNumber, kPositive,
+     kField<&S::mech_volume_gbit>},
+    {"horizon_s", "--horizon", kMech, kNumber, kPositive,
+     kField<&S::mech_horizon_s>},
+    {"ocs", "--ocs", kMech, kInteger,
+     {0.0, max_of(&S::mech_ocs_devices)}, kField<&S::mech_ocs_devices>},
+    {"pod_budget_w", "--pod-budget", kMech, kNumber, kNonNegative,
+     kField<&S::pod_budget_w>},
+    {"core_budget_w", "--core-budget", kMech, kNumber, kNonNegative,
+     kField<&S::core_budget_w>},
+    {"backend", "--backend", kSimulated, kEnum, {},
+     kField<&S::backend, &BackendConfig::kind>, kBackends},
+    {"shards", "--shards", kSimulated, kInteger, {1.0, kCannedFatTreeK},
+     kField<&S::backend, &BackendConfig::num_shards>, {}, check_backend},
+};
+
+const Knob* find_knob(std::string_view key, const char* Knob::*by) {
+  for (const Knob& knob : kKnobs) {
+    if (key == knob.*by) return &knob;
+  }
+  return nullptr;
+}
+
+/// Reads `value` as `knob` types and bounds it (kEnum: the choice index).
+double read_knob(const Knob& knob, const JsonValue& value) {
+  const std::string field = knob.name;
+  if (knob.type == KnobType::kEnum) {
+    return static_cast<double>(choose(value, field, knob.choices));
+  }
+  if (value.kind() != JsonKind::kNumber) {
+    reject(ErrorCode::kBadValue, field,
+           std::string{"must be a number, got "} + to_string(value.kind()));
+  }
+  const double v = value.as_number();
+  if (knob.type == KnobType::kInteger &&
+      (v != std::floor(v) || std::fabs(v) > 9.007199254740992e15)) {
+    reject(ErrorCode::kBadValue, field, "must be an integer");
+  }
+  if (!(knob.bounds.min_open ? v > knob.bounds.min : v >= knob.bounds.min) ||
+      v > knob.bounds.max) {
+    reject(ErrorCode::kOutOfRange, field, "must be " + knob.range());
+  }
+  return v;
 }
 
 }  // namespace
+
+const char* to_string(QueryKind kind) {
+  return kCommands[static_cast<int>(kind)];
+}
+
+const char* to_string(QueryOutput output) {
+  return kOutputs[static_cast<int>(output)];
+}
+
+std::string Knob::range() const {
+  if (type == KnobType::kEnum) return join(choices);
+  char buf[64];
+  if (std::isinf(bounds.max)) {
+    std::snprintf(buf, sizeof buf, "%s %.17g", bounds.min_open ? ">" : ">=",
+                  bounds.min);
+  } else {
+    std::snprintf(buf, sizeof buf, "in %c%.17g, %.17g]",
+                  bounds.min_open ? '(' : '[', bounds.min, bounds.max);
+  }
+  return buf;
+}
+
+std::span<const Knob> knobs() { return kKnobs; }
+
+const Knob* find_cli_flag(std::string_view flag) {
+  return find_knob(flag, &Knob::flag);
+}
+
+JsonValue cli_query(
+    QueryKind kind,
+    const std::vector<std::pair<const Knob*, std::string>>& args) {
+  JsonValue query = JsonValue::make_object();
+  query.set("command", JsonValue::make_string(to_string(kind)));
+  for (const auto& [knob, text] : args) {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    const bool number = knob->type != KnobType::kEnum &&
+                        end != text.c_str() && *end == '\0' &&
+                        std::isfinite(v);
+    query.set(knob->name, number ? JsonValue::make_number(v)
+                                 : JsonValue::make_string(text));
+  }
+  return query;
+}
 
 Query parse_query(const JsonValue& request) {
   if (request.kind() != JsonKind::kObject) {
@@ -82,234 +254,57 @@ Query parse_query(const JsonValue& request) {
     throw ServeError{ErrorCode::kBadRequest, "command",
                      "query needs a \"command\" member"};
   }
-  const std::string& name = require_string(*command, "command");
-  if (name == "cluster") {
-    query.kind = QueryKind::kCluster;
-  } else if (name == "savings") {
-    query.kind = QueryKind::kSavings;
-  } else if (name == "faults") {
-    query.kind = QueryKind::kFaults;
-  } else if (name == "mech") {
-    query.kind = QueryKind::kMech;
-  } else {
-    throw ServeError{ErrorCode::kUnknownCommand, "command",
-                     "unknown command \"" + name +
-                         "\" (expected cluster|savings|faults|mech)"};
-  }
+  query.kind = static_cast<QueryKind>(
+      choose(*command, "command", kCommands, ErrorCode::kUnknownCommand));
 
-  const bool simulated =
-      query.kind == QueryKind::kFaults || query.kind == QueryKind::kMech;
-  ScenarioOptions& opt = query.opt;
   for (const auto& [key, value] : request.as_object()) {
     if (key == "command") continue;
     if (key == "id") {
       if (value.kind() == JsonKind::kArray ||
           value.kind() == JsonKind::kObject) {
-        throw ServeError{ErrorCode::kBadValue, "id",
-                         std::string{"\"id\" must be a scalar, got "} +
-                             to_string(value.kind())};
+        reject(ErrorCode::kBadValue, key,
+               std::string{"must be a scalar, got "} + to_string(value.kind()));
       }
       query.id = value;
       continue;
     }
     if (key == "output") {
-      const std::string& out = require_string(value, "output");
-      if (out == "csv") {
-        query.output = QueryOutput::kCsv;
-      } else if (out == "table") {
-        query.output = QueryOutput::kTable;
-      } else if (out == "metrics") {
-        if (!simulated) {
-          throw ServeError{
-              ErrorCode::kBadValue, "output",
-              "output \"metrics\" is only available for faults and mech "
-              "queries"};
-        }
-        query.output = QueryOutput::kMetrics;
-      } else {
-        throw ServeError{ErrorCode::kBadValue, "output",
-                         "unknown output \"" + out +
-                             "\" (expected csv|table|metrics)"};
+      query.output = static_cast<QueryOutput>(choose(value, key, kOutputs));
+      if (query.output == QueryOutput::kMetrics &&
+          (bit(query.kind) & kSimulated) == 0) {
+        reject(ErrorCode::kBadValue, key,
+               "\"metrics\" is only available for faults and mech queries");
       }
       continue;
     }
-    // Backend selection, shared by the simulated commands.
-    if (simulated && key == "backend") {
-      const std::string& backend = require_string(value, "backend");
-      if (backend == "single") {
-        opt.backend.kind = BackendKind::kSingle;
-      } else if (backend == "sharded") {
-        opt.backend.kind = BackendKind::kSharded;
-      } else {
-        throw ServeError{ErrorCode::kBadValue, "backend",
-                         "unknown backend \"" + backend +
-                             "\" (expected single|sharded)"};
-      }
-      continue;
+    const Knob* knob = find_knob(key, &Knob::name);
+    if (knob == nullptr || !knob->takes(query.kind)) {
+      throw ServeError{ErrorCode::kUnknownField, key,
+                       std::string{"\""} + to_string(query.kind) +
+                           "\" queries have no field \"" + key + "\""};
     }
-    if (simulated && key == "shards") {
-      const long long shards = require_integer(value, "shards");
-      require_range(shards >= 1, "shards", "must be >= 1");
-      opt.backend.num_shards = static_cast<std::size_t>(shards);
-      continue;
-    }
-    // Analytics knobs (cluster / savings).
-    if (query.kind == QueryKind::kCluster ||
-        query.kind == QueryKind::kSavings) {
-      if (key == "gpus") {
-        const double gpus = require_number(value, key);
-        require_range(gpus > 0.0, key, "must be > 0");
-        opt.cluster.num_gpus = gpus;
-        continue;
-      }
-      if (key == "gbps") {
-        const double gbps = require_number(value, key);
-        require_range(gbps > 0.0, key, "must be > 0");
-        opt.cluster.bandwidth_per_gpu = Gbps{gbps};
-        continue;
-      }
-      if (key == "ratio") {
-        const double ratio = require_number(value, key);
-        require_range(ratio >= 0.0 && ratio <= 1.0, key,
-                      "must be in [0, 1]");
-        opt.cluster.communication_ratio = ratio;
-        continue;
-      }
-      if (query.kind == QueryKind::kSavings && key == "prop") {
-        const double prop = require_number(value, key);
-        require_range(prop >= 0.0 && prop <= 1.0, key, "must be in [0, 1]");
-        opt.prop = prop;
-        continue;
-      }
-      unknown_field(query.kind, key);
-    }
-    if (query.kind == QueryKind::kFaults) {
-      if (key == "mtbf_s") {
-        const double mtbf = require_number(value, key);
-        require_range(mtbf >= 0.0, key, "must be >= 0");
-        opt.mtbf_s = mtbf;
-        continue;
-      }
-      if (key == "mttr_s") {
-        const double mttr = require_number(value, key);
-        require_range(mttr > 0.0, key, "must be > 0");
-        opt.mttr_s = mttr;
-        continue;
-      }
-      if (key == "headroom") {
-        const double headroom = require_number(value, key);
-        require_range(headroom >= 0.0, key, "must be >= 0");
-        opt.headroom = headroom;
-        continue;
-      }
-      if (key == "seed") {
-        const long long seed = require_integer(value, key);
-        require_range(seed >= 0, key, "must be >= 0");
-        opt.fault_seed = static_cast<std::uint64_t>(seed);
-        continue;
-      }
-      if (key == "policy") {
-        const std::string& policy = require_string(value, key);
-        if (policy == "none") {
-          opt.policy = DegradedPolicy::kNone;
-        } else if (policy == "wake-all") {
-          opt.policy = DegradedPolicy::kEmergencyWakeAll;
-        } else if (policy == "re-tailor") {
-          opt.policy = DegradedPolicy::kRetailor;
-        } else {
-          throw ServeError{ErrorCode::kBadValue, key,
-                           "unknown policy \"" + policy +
-                               "\" (expected none|wake-all|re-tailor)"};
-        }
-        continue;
-      }
-      if (key == "sample_period_s") {
-        const double period = require_number(value, key);
-        require_range(period >= 0.0, key, "must be >= 0");
-        opt.sample_period_s = period;
-        continue;
-      }
-      unknown_field(query.kind, key);
-    }
-    if (query.kind == QueryKind::kMech) {
-      if (key == "stack") {
-        const std::string& stack = require_string(value, key);
-        if (stack != "all" && stack != "dynamic" && stack != "tailor" &&
-            stack != "park" && stack != "rate") {
-          throw ServeError{
-              ErrorCode::kBadValue, key,
-              "unknown stack \"" + stack +
-                  "\" (expected all|dynamic|tailor|park|rate)"};
-        }
-        opt.stack = stack;
-        continue;
-      }
-      if (key == "iters") {
-        const long long iters = require_integer(value, key);
-        require_range(iters > 0, key, "must be > 0");
-        opt.mech_iterations = static_cast<int>(iters);
-        continue;
-      }
-      if (key == "volume_gbit") {
-        const double volume = require_number(value, key);
-        require_range(volume > 0.0, key, "must be > 0");
-        opt.mech_volume_gbit = volume;
-        continue;
-      }
-      if (key == "horizon_s") {
-        const double horizon = require_number(value, key);
-        require_range(horizon > 0.0, key, "must be > 0");
-        opt.mech_horizon_s = horizon;
-        continue;
-      }
-      if (key == "ocs") {
-        const long long ocs = require_integer(value, key);
-        require_range(ocs >= 0, key, "must be >= 0");
-        opt.mech_ocs_devices = static_cast<int>(ocs);
-        continue;
-      }
-      if (key == "pod_budget_w") {
-        const double budget = require_number(value, key);
-        require_range(budget >= 0.0, key, "must be >= 0");
-        opt.pod_budget_w = budget;
-        continue;
-      }
-      if (key == "core_budget_w") {
-        const double budget = require_number(value, key);
-        require_range(budget >= 0.0, key, "must be >= 0");
-        opt.core_budget_w = budget;
-        continue;
-      }
-      unknown_field(query.kind, key);
-    }
+    knob->field.set(query.opt, read_knob(*knob, value));
   }
-
-  if (opt.backend.kind == BackendKind::kSingle && opt.backend.num_shards > 1) {
-    throw ServeError{ErrorCode::kBackendMismatch, "shards",
-                     "shards " + std::to_string(opt.backend.num_shards) +
-                         " requires backend \"sharded\""};
+  for (const Knob& knob : kKnobs) {
+    if (knob.check != nullptr && knob.takes(query.kind)) {
+      knob.check(knob, query.opt);
+    }
   }
   return query;
 }
 
 std::string cache_key(const Query& query) {
-  char buf[512];
-  const ScenarioOptions& o = query.opt;
-  std::snprintf(
-      buf, sizeof buf,
-      "%s|%s|gpus=%.17g|gbps=%.17g|ratio=%.17g|prop=%.17g"
-      "|mtbf=%.17g|mttr=%.17g|head=%.17g|seed=%llu|policy=%d|sp=%.17g"
-      "|stack=%s|iters=%d|vol=%.17g|hor=%.17g|ocs=%d|podb=%.17g|coreb=%.17g"
-      "|backend=%d|shards=%zu",
-      to_string(query.kind), to_string(query.output), o.cluster.num_gpus,
-      o.cluster.bandwidth_per_gpu.value(), o.cluster.communication_ratio,
-      o.prop, o.mtbf_s, o.mttr_s, o.headroom,
-      static_cast<unsigned long long>(o.fault_seed),
-      static_cast<int>(o.policy), o.sample_period_s, o.stack.c_str(),
-      o.mech_iterations, o.mech_volume_gbit, o.mech_horizon_s,
-      o.mech_ocs_devices, o.pod_budget_w, o.core_budget_w,
-      static_cast<int>(o.backend.kind), o.backend.num_shards);
-  return std::string{buf};
+  std::string key = std::string{to_string(query.kind)} + "|" +
+                    to_string(query.output);
+  char buf[32];  // the shortest round-trip form identifies each value
+  for (const Knob& knob : kKnobs) {
+    key += '|';
+    key += knob.name;
+    key += '=';
+    const double value = knob.field.get(query.opt);
+    key.append(buf, std::to_chars(buf, std::end(buf), value).ptr);
+  }
+  return key;
 }
 
 }  // namespace netpp::serve

@@ -12,7 +12,7 @@ CannedFaultScenario make_canned_fault_scenario(const ScenarioOptions& opt,
   // The sharded backend needs a pod-partitionable fabric (tier-3 core), so
   // it swaps the canned leaf-spine for the k=4 fat tree `mech` runs on.
   CannedFaultScenario s{opt.backend.kind == BackendKind::kSharded
-                            ? build_fat_tree(4, 100_Gbps)
+                            ? build_fat_tree(kCannedFatTreeK, 100_Gbps)
                             : build_leaf_spine(4, 4, 4, 100_Gbps, 100_Gbps),
                         {}, {}, {}, Seconds{5.0}};
   s.config.backend = opt.backend;
@@ -53,7 +53,7 @@ CannedMechScenario make_canned_mech_scenario(const ScenarioOptions& opt) {
   // satisfiable. The composed stack (tailoring -> parking -> rate
   // adaptation) is priced against the all-on baseline and against each
   // mechanism alone.
-  CannedMechScenario s{build_fat_tree(4, 100_Gbps),
+  CannedMechScenario s{build_fat_tree(kCannedFatTreeK, 100_Gbps),
                        {},
                        {},
                        {},

@@ -91,6 +91,37 @@ TEST(ParseQuery, RangeAndBackendErrors) {
                   ErrorCode::kBackendMismatch, "shards");
   expect_rejected(R"({"command":"mech","backend":"sharded","shards":0})",
                   ErrorCode::kOutOfRange, "shards");
+  // Model preconditions, on the offending field: 416 Gb/s gives an odd
+  // switch radix (123); the fat-tree model needs >= 1 host and <= 64 tiers;
+  // the canned fabrics have kCannedFatTreeK pods to shard.
+  expect_rejected(R"({"command":"cluster","gbps":416})",
+                  ErrorCode::kOutOfRange, "gbps");
+  expect_rejected(R"({"command":"savings","gbps":1e300})",
+                  ErrorCode::kOutOfRange, "gbps");
+  expect_rejected(R"({"command":"cluster","gbps":1e-300})",
+                  ErrorCode::kOutOfRange, "gbps");
+  expect_rejected(R"({"command":"cluster","gpus":0.5})",
+                  ErrorCode::kOutOfRange, "gpus");
+  expect_rejected(R"({"command":"savings","gpus":1e300})",
+                  ErrorCode::kOutOfRange, "gpus");
+  // An unusable radix is gbps's error even when gpus is fine on its own.
+  expect_rejected(R"({"command":"cluster","gpus":1e300,"gbps":416})",
+                  ErrorCode::kOutOfRange, "gbps");
+  expect_rejected(R"({"command":"faults","backend":"sharded","shards":64})",
+                  ErrorCode::kOutOfRange, "shards");
+  EXPECT_EQ(parse(R"({"command":"mech","backend":"sharded","shards":4})")
+                .opt.backend.num_shards,
+            static_cast<std::size_t>(kCannedFatTreeK));
+  // Integer knobs are bounded by the int field they set.
+  expect_rejected(R"({"command":"mech","ocs":3000000000})",
+                  ErrorCode::kOutOfRange, "ocs");
+  expect_rejected(R"({"command":"mech","iters":3000000000})",
+                  ErrorCode::kOutOfRange, "iters");
+  EXPECT_EQ(parse(R"({"command":"mech","ocs":2147483647})")
+                .opt.mech_ocs_devices,
+            2147483647);
+  expect_rejected(R"({"command":"faults","seed":7.5})", ErrorCode::kBadValue,
+                  "seed");
 }
 
 TEST(CacheKey, IdentifiesQueriesUpToId) {

@@ -1,32 +1,25 @@
 // netpp command-line interface: the paper's analyses as a shell tool, with
 // ASCII or CSV output for scripting and plotting.
 //
-//   netpp_cli cluster [--gpus N] [--gbps B] [--ratio R] [--prop P]
-//   netpp_cli table3 [--csv]
-//   netpp_cli fig3 [--csv]
-//   netpp_cli fig4 [--csv]
-//   netpp_cli savings --prop P [--gbps B] [cluster flags]
-//   netpp_cli sensitivity [--csv]
-//   netpp_cli faults [--mtbf S] [--mttr S] [--seed N]
-//                    [--policy none|wake-all|re-tailor] [--headroom H] [--csv]
-//                    [--trace-out F] [--metrics-out F] [--sample-period S]
-//                    [--save-state F [--save-at T]] [--load-state F]
-//   netpp_cli mech [--stack all|dynamic|tailor|park|rate] [--iters N]
-//                  [--volume GBIT] [--horizon S] [--ocs N] [--csv]
-//                  [--pod-budget W] [--core-budget W]
-//                  [--trace-out F] [--metrics-out F]
-//                  [--save-state F] [--load-state F]
-//   netpp_cli telemetry [faults flags] [--trace-out F] [--metrics-out F]
+//   netpp_cli cluster|table3|fig3|fig4|savings|sensitivity [flags]
+//   netpp_cli faults|mech|telemetry [flags]
 //   netpp_cli help
 //
-// Flags accept both `--flag value` and `--flag=value`. Every error path
-// prints a single `netpp_cli: error: ...` line to stderr and exits non-zero.
+// The scenario flags are netpp_serve's query fields under their CLI names:
+// the CLI turns them into one query and parses it with serve::parse_query,
+// so both front ends accept, reject and range-check the same scenarios
+// (`netpp_cli help` lists them from the same knob table). A flag the
+// command does not take is an error. Flags accept both `--flag value` and
+// `--flag=value`. Every error path prints a single `netpp_cli: error: ...`
+// line to stderr and exits non-zero.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netpp/analysis/report.h"
@@ -36,6 +29,7 @@
 #include "netpp/cluster/cluster.h"
 #include "netpp/faults/experiment.h"
 #include "netpp/mech/composite.h"
+#include "netpp/serve/query.h"
 #include "netpp/serve/scenarios.h"
 #include "netpp/state/snapshot.h"
 #include "netpp/telemetry/export.h"
@@ -47,15 +41,12 @@ using namespace netpp;
 using namespace netpp::literals;
 
 /// The scenario knobs live in serve::ScenarioOptions — the single struct
-/// both this CLI and netpp_serve parse into, so a serve query and the
-/// equivalent one-shot run are the same scenario by construction.
+/// both this CLI and netpp_serve parse into (through serve::parse_query), so
+/// a serve query and the equivalent one-shot run are the same scenario by
+/// construction.
 struct Options {
   serve::ScenarioOptions scenario;
   bool csv = false;
-  // simulator backend (faults / mech subcommands); validated into
-  // scenario.backend by make_backend_config.
-  std::string backend = "single";
-  std::size_t shards = 1;
   // telemetry outputs (faults / mech / telemetry subcommands)
   std::string trace_out;
   std::string metrics_out;
@@ -74,222 +65,25 @@ void print_table(const Table& table, bool csv) {
   std::printf("%s", csv ? table.to_csv().c_str() : table.to_ascii().c_str());
 }
 
-int usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: netpp_cli <command> [flags]\n"
-      "\n"
-      "commands:\n"
-      "  cluster      baseline (or custom) cluster power summary\n"
-      "  table3       paper Table 3: savings vs proportionality/bandwidth\n"
-      "  fig3         paper Figure 3: fixed-workload speedup series\n"
-      "  fig4         paper Figure 4: fixed-ratio speedup series\n"
-      "  savings      one savings cell: --prop P [--gbps B]\n"
-      "  sensitivity  headline metrics vs modeling assumptions\n"
-      "  faults       fault-injection resilience run on a tailored fabric\n"
-      "  mech         composed Sec. 4 mechanism stack on an ML fat tree\n"
-      "  telemetry    faults scenario with full tracing/sampling, summarized\n"
-      "\n"
-      "flags: --gpus N --gbps B --ratio R --prop P --csv\n"
-      "faults flags: --mtbf S --mttr S --seed N --headroom H\n"
-      "              --policy none|wake-all|re-tailor\n"
-      "mech flags:   --stack all|dynamic|tailor|park|rate --iters N\n"
-      "              --volume GBIT --horizon S --ocs N\n"
-      "              --pod-budget W --core-budget W   per-domain average-\n"
-      "                                       power budgets (0 = unbudgeted)\n"
-      "backend (faults/mech):\n"
-      "              --backend single|sharded simulator backend (sharded\n"
-      "                                       faults runs the k=4 fat tree;\n"
-      "                                       the default is leaf-spine)\n"
-      "              --shards N               sharded pod shards (>= 1)\n"
-      "telemetry outputs (faults/mech/telemetry):\n"
-      "              --trace-out FILE.json    Chrome trace (Perfetto)\n"
-      "              --metrics-out FILE.json  metrics dump\n"
-      "              --sample-period S        time-series cadence\n"
-      "snapshots (faults/mech):\n"
-      "              --save-state FILE        faults: run to --save-at (default\n"
-      "                                       half the fault horizon), snapshot,\n"
-      "                                       stop; mech: snapshot the final\n"
-      "                                       metric registry after the run\n"
-      "              --load-state FILE        faults: restore and continue to\n"
-      "                                       the end; mech: restore the metric\n"
-      "                                       registry and re-export it\n"
-      "              --save-at T              faults snapshot time (seconds)\n");
-  return out == stdout ? 0 : 2;
-}
-
-bool parse(int argc, char** argv, Options& opt) {
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string inline_value;
-    bool has_inline_value = false;
-    if (const auto eq = flag.find('='); eq != std::string::npos) {
-      inline_value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-      has_inline_value = true;
-    }
-    if (flag == "--csv") {
-      if (has_inline_value) {
-        error_out("flag '--csv' takes no value");
-        return false;
-      }
-      opt.csv = true;
-      continue;
-    }
-    // Every other flag takes one value: either inline (--flag=value) or the
-    // next argument (--flag value).
-    const bool known_flag =
-        flag == "--stack" || flag == "--policy" || flag == "--trace-out" ||
-        flag == "--metrics-out" || flag == "--gpus" || flag == "--gbps" ||
-        flag == "--ratio" || flag == "--prop" || flag == "--mtbf" ||
-        flag == "--mttr" || flag == "--headroom" || flag == "--seed" ||
-        flag == "--iters" || flag == "--volume" || flag == "--horizon" ||
-        flag == "--ocs" || flag == "--pod-budget" ||
-        flag == "--core-budget" || flag == "--sample-period" ||
-        flag == "--save-state" || flag == "--load-state" ||
-        flag == "--save-at" || flag == "--backend" || flag == "--shards";
-    if (!known_flag) {
-      error_out("unknown flag '" + flag + "' (see 'netpp_cli help')");
-      return false;
-    }
-    if (!has_inline_value && i + 1 >= argc) {
-      error_out("flag '" + flag + "' needs a value");
-      return false;
-    }
-    const std::string value_str =
-        has_inline_value ? inline_value : std::string{argv[++i]};
-    if (flag == "--stack") {
-      if (value_str != "all" && value_str != "dynamic" &&
-          value_str != "tailor" && value_str != "park" &&
-          value_str != "rate") {
-        error_out("unknown stack '" + value_str + "'");
-        return false;
-      }
-      opt.scenario.stack = value_str;
-      continue;
-    }
-    if (flag == "--policy") {
-      if (value_str == "none") {
-        opt.scenario.policy = DegradedPolicy::kNone;
-      } else if (value_str == "wake-all") {
-        opt.scenario.policy = DegradedPolicy::kEmergencyWakeAll;
-      } else if (value_str == "re-tailor") {
-        opt.scenario.policy = DegradedPolicy::kRetailor;
-      } else {
-        error_out("unknown policy '" + value_str + "'");
-        return false;
-      }
-      continue;
-    }
-    if (flag == "--backend") {
-      if (value_str != "single" && value_str != "sharded") {
-        error_out("unknown backend '" + value_str +
-                  "' (expected single|sharded)");
-        return false;
-      }
-      opt.backend = value_str;
-      continue;
-    }
-    if (flag == "--trace-out") {
-      opt.trace_out = value_str;
-      continue;
-    }
-    if (flag == "--metrics-out") {
-      opt.metrics_out = value_str;
-      continue;
-    }
-    if (flag == "--save-state") {
-      opt.save_state = value_str;
-      continue;
-    }
-    if (flag == "--load-state") {
-      opt.load_state = value_str;
-      continue;
-    }
-    char* parse_end = nullptr;
-    const double value = std::strtod(value_str.c_str(), &parse_end);
-    if (parse_end == value_str.c_str() || *parse_end != '\0') {
-      error_out("bad value '" + value_str + "' for flag '" + flag + "'");
-      return false;
-    }
-    if (flag == "--gpus" && value > 0) {
-      opt.scenario.cluster.num_gpus = value;
-    } else if (flag == "--gbps" && value > 0) {
-      opt.scenario.cluster.bandwidth_per_gpu = Gbps{value};
-    } else if (flag == "--ratio" && value >= 0 && value <= 1) {
-      opt.scenario.cluster.communication_ratio = value;
-    } else if (flag == "--prop" && value >= 0 && value <= 1) {
-      opt.scenario.prop = value;
-    } else if (flag == "--mtbf" && value >= 0) {
-      opt.scenario.mtbf_s = value;
-    } else if (flag == "--mttr" && value > 0) {
-      opt.scenario.mttr_s = value;
-    } else if (flag == "--headroom" && value >= 0) {
-      opt.scenario.headroom = value;
-    } else if (flag == "--seed" && value >= 0) {
-      opt.scenario.fault_seed = static_cast<std::uint64_t>(value);
-    } else if (flag == "--iters" && value > 0) {
-      opt.scenario.mech_iterations = static_cast<int>(value);
-    } else if (flag == "--volume" && value > 0) {
-      opt.scenario.mech_volume_gbit = value;
-    } else if (flag == "--horizon" && value > 0) {
-      opt.scenario.mech_horizon_s = value;
-    } else if (flag == "--ocs" && value >= 0) {
-      opt.scenario.mech_ocs_devices = static_cast<int>(value);
-    } else if (flag == "--pod-budget" && value >= 0) {
-      opt.scenario.pod_budget_w = value;
-    } else if (flag == "--core-budget" && value >= 0) {
-      opt.scenario.core_budget_w = value;
-    } else if (flag == "--shards" && value >= 1 &&
-               value == static_cast<double>(static_cast<std::size_t>(value))) {
-      opt.shards = static_cast<std::size_t>(value);
-    } else if (flag == "--sample-period" && value >= 0) {
-      opt.scenario.sample_period_s = value;
-    } else if (flag == "--save-at" && value >= 0) {
-      opt.save_at_s = value;
-    } else {
-      error_out("bad value '" + value_str + "' for flag '" + flag + "'");
-      return false;
-    }
+void write_output(const std::string& path, const std::string& text) {
+  std::string error;
+  if (!telemetry::write_file(path, text, error)) {
+    throw std::runtime_error(error);
   }
-  return true;
 }
 
-/// Validates --backend/--shards into opt.scenario.backend. Returns false
-/// (after the one-line diagnostic) on an inconsistent combination.
-bool make_backend_config(Options& opt) {
-  if (opt.backend == "single" && opt.shards > 1) {
-    error_out("--shards " + std::to_string(opt.shards) +
-              " requires --backend sharded");
-    return false;
-  }
-  opt.scenario.backend.kind = opt.backend == "sharded" ? BackendKind::kSharded
-                                                       : BackendKind::kSingle;
-  opt.scenario.backend.num_shards = opt.shards;
-  return true;
-}
-
-/// Writes the requested trace/metrics files; returns 0, or 1 after printing
-/// a one-line diagnostic on the first failing write.
+/// Writes the requested trace/metrics files; throws on the first failing
+/// write.
 int write_telemetry_outputs(const Options& opt,
                             const telemetry::Telemetry& tel) {
-  std::string error;
   if (!opt.trace_out.empty()) {
     const telemetry::TimeSeriesSampler* sampler =
         tel.sampler().enabled() ? &tel.sampler() : nullptr;
-    const std::string json = telemetry::to_chrome_trace_json(tel.events(),
-                                                             sampler);
-    if (!telemetry::write_file(opt.trace_out, json, error)) {
-      error_out(error);
-      return 1;
-    }
+    write_output(opt.trace_out,
+                 telemetry::to_chrome_trace_json(tel.events(), sampler));
   }
   if (!opt.metrics_out.empty()) {
-    const std::string json = telemetry::to_metrics_json(tel.metrics());
-    if (!telemetry::write_file(opt.metrics_out, json, error)) {
-      error_out(error);
-      return 1;
-    }
+    write_output(opt.metrics_out, telemetry::to_metrics_json(tel.metrics()));
   }
   return 0;
 }
@@ -331,13 +125,14 @@ int cmd_table3(const Options& opt) {
   return 0;
 }
 
-int cmd_fig(const Options& opt, BudgetScenario scenario) {
+template <BudgetScenario kScenario>
+int cmd_fig(const Options& opt) {
   const BudgetSolver solver = BudgetSolver::paper_baseline();
   const std::vector<Gbps> bws = {100_Gbps, 200_Gbps, 400_Gbps, 800_Gbps,
                                  1600_Gbps};
   std::vector<double> props;
   for (int i = 0; i <= 20; ++i) props.push_back(i * 0.05);
-  const auto series = scenario == BudgetScenario::kFixedWorkload
+  const auto series = kScenario == BudgetScenario::kFixedWorkload
                           ? fixed_workload_speedup(solver, bws, props)
                           : fixed_ratio_speedup(solver, bws, props);
   Table table{
@@ -381,47 +176,42 @@ FaultExperimentResult run_canned_fault_scenario(const Options& opt,
   return run_fault_experiment(s.topo, s.workload, s.schedule, s.config);
 }
 
-int cmd_faults(Options& opt) {
+int cmd_faults(const Options& opt) {
   if (!opt.save_state.empty() && !opt.load_state.empty()) {
     return error_out("--save-state and --load-state are mutually exclusive");
   }
-  if (!make_backend_config(opt)) return 2;
   const auto tel = make_cli_telemetry(opt, /*sampled=*/true);
   FaultExperimentResult result;
-  try {
-    if (!opt.save_state.empty()) {
-      // Run the canned scenario to the snapshot point, serialize everything,
-      // and stop: a later --load-state continues bit-identically.
-      const serve::CannedFaultScenario s =
-          serve::make_canned_fault_scenario(opt.scenario, tel.get());
-      const Seconds save_at{opt.save_at_s >= 0.0
-                                ? opt.save_at_s
-                                : s.fault_horizon.value() / 2.0};
-      FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
-      run.run_until(save_at);
-      state::SnapshotWriter w;
-      run.save_state(w);
-      w.write_file(opt.save_state);
-      std::printf("saved state at t=%s to %s\n", to_string(save_at).c_str(),
-                  opt.save_state.c_str());
-      return 0;
+  if (!opt.save_state.empty()) {
+    // Run the canned scenario to the snapshot point, serialize everything,
+    // and stop: a later --load-state continues bit-identically.
+    const serve::CannedFaultScenario s =
+        serve::make_canned_fault_scenario(opt.scenario, tel.get());
+    const Seconds save_at{opt.save_at_s >= 0.0
+                              ? opt.save_at_s
+                              : s.fault_horizon.value() / 2.0};
+    FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
+    run.run_until(save_at);
+    state::SnapshotWriter w;
+    run.save_state(w);
+    w.write_file(opt.save_state);
+    std::printf("saved state at t=%s to %s\n", to_string(save_at).c_str(),
+                opt.save_state.c_str());
+    return 0;
+  }
+  if (!opt.load_state.empty()) {
+    const serve::CannedFaultScenario s =
+        serve::make_canned_fault_scenario(opt.scenario, tel.get());
+    auto r = state::SnapshotReader::from_file(opt.load_state);
+    FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config, r};
+    if (!r.at_end()) {
+      throw std::invalid_argument(
+          "SnapshotReader: trailing bytes after the experiment snapshot");
     }
-    if (!opt.load_state.empty()) {
-      const serve::CannedFaultScenario s =
-          serve::make_canned_fault_scenario(opt.scenario, tel.get());
-      auto r = state::SnapshotReader::from_file(opt.load_state);
-      FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config, r};
-      if (!r.at_end()) {
-        throw std::invalid_argument(
-            "SnapshotReader: trailing bytes after the experiment snapshot");
-      }
-      run.run();
-      result = run.finish();
-    } else {
-      result = run_canned_fault_scenario(opt, tel.get());
-    }
-  } catch (const std::exception& e) {
-    return error_out(e.what());
+    run.run();
+    result = run.finish();
+  } else {
+    result = run_canned_fault_scenario(opt, tel.get());
   }
   print_table(serve::faults_summary_table(result), opt.csv);
   if (tel != nullptr) return write_telemetry_outputs(opt, *tel);
@@ -433,7 +223,7 @@ int cmd_telemetry(const Options& opt) {
   // summarized. --trace-out / --metrics-out save the artifacts. The sharded
   // backend keeps the netsim registry per shard, so this demo (which reads
   // the shared registry) is single-backend only.
-  if (opt.backend != "single" || opt.shards != 1) {
+  if (opt.scenario.backend.kind != BackendKind::kSingle) {
     return error_out("'telemetry' supports only --backend single");
   }
   const auto tel =
@@ -464,39 +254,30 @@ int cmd_telemetry(const Options& opt) {
   return write_telemetry_outputs(opt, *tel);
 }
 
-int cmd_mech(Options& opt) {
+int cmd_mech(const Options& opt) {
   if (!opt.save_state.empty() && !opt.load_state.empty()) {
     return error_out("--save-state and --load-state are mutually exclusive");
   }
-  if (!make_backend_config(opt)) return 2;
   if (!opt.load_state.empty()) {
     // Offline restore: load a saved metric registry into a fresh bundle and
     // re-export it, without re-running the simulation.
-    try {
-      telemetry::MetricRegistry metrics;
-      auto r = state::SnapshotReader::from_file(opt.load_state);
-      metrics.restore_state(r);
-      if (!r.at_end()) {
-        throw std::invalid_argument(
-            "SnapshotReader: trailing bytes after the metrics snapshot");
-      }
-      Table table{{"metric", "value"}};
-      table.add_row({"metrics restored", std::to_string(metrics.size())});
-      table.add_row(
-          {"combined savings",
-           fmt_percent(metrics.gauge_value("composite.combined_savings"), 2)});
-      print_table(table, opt.csv);
-      if (!opt.metrics_out.empty()) {
-        std::string error;
-        const std::string json = telemetry::to_metrics_json(metrics);
-        if (!telemetry::write_file(opt.metrics_out, json, error)) {
-          return error_out(error);
-        }
-      }
-      return 0;
-    } catch (const std::exception& e) {
-      return error_out(e.what());
+    telemetry::MetricRegistry metrics;
+    auto r = state::SnapshotReader::from_file(opt.load_state);
+    metrics.restore_state(r);
+    if (!r.at_end()) {
+      throw std::invalid_argument(
+          "SnapshotReader: trailing bytes after the metrics snapshot");
     }
+    Table table{{"metric", "value"}};
+    table.add_row({"metrics restored", std::to_string(metrics.size())});
+    table.add_row(
+        {"combined savings",
+         fmt_percent(metrics.gauge_value("composite.combined_savings"), 2)});
+    print_table(table, opt.csv);
+    if (!opt.metrics_out.empty()) {
+      write_output(opt.metrics_out, telemetry::to_metrics_json(metrics));
+    }
+    return 0;
   }
   // The canned scenario (and the summary rendering below) are shared with
   // netpp_serve — serve/scenarios.h is the single definition of both.
@@ -506,47 +287,195 @@ int cmd_mech(Options& opt) {
                                       /*force=*/!opt.save_state.empty());
   s.config.telemetry = tel.get();
 
-  CompositeReport report;
-  try {
-    report = run_composite(s.topo, s.workload, s.demands, s.horizon,
-                           s.config);
-  } catch (const std::exception& e) {
-    return error_out(e.what());
-  }
+  const CompositeReport report =
+      run_composite(s.topo, s.workload, s.demands, s.horizon, s.config);
   print_table(serve::mech_summary_table(opt.scenario.stack, report), opt.csv);
   if (!opt.save_state.empty()) {
-    try {
-      state::SnapshotWriter w;
-      tel->metrics().save_state(w);
-      w.write_file(opt.save_state);
-    } catch (const std::exception& e) {
-      return error_out(e.what());
-    }
+    state::SnapshotWriter w;
+    tel->metrics().save_state(w);
+    w.write_file(opt.save_state);
     std::printf("saved metric registry to %s\n", opt.save_state.c_str());
   }
   if (tel != nullptr) return write_telemetry_outputs(opt, *tel);
   return 0;
 }
 
+/// A command, and the query kind whose scenario flags it takes (none: it
+/// takes none).
+struct Command {
+  const char* name;
+  std::optional<serve::QueryKind> knobs;
+  int (*run)(const Options&);
+};
+
+const Command kCommands[] = {
+    {"cluster", serve::QueryKind::kCluster, cmd_cluster},
+    {"table3", serve::QueryKind::kCluster, cmd_table3},
+    {"fig3", std::nullopt, cmd_fig<BudgetScenario::kFixedWorkload>},
+    {"fig4", std::nullopt, cmd_fig<BudgetScenario::kFixedCommRatio>},
+    {"savings", serve::QueryKind::kSavings, cmd_savings},
+    {"sensitivity", std::nullopt, cmd_sensitivity},
+    {"faults", serve::QueryKind::kFaults, cmd_faults},
+    {"mech", serve::QueryKind::kMech, cmd_mech},
+    {"telemetry", serve::QueryKind::kFaults, cmd_telemetry},
+};
+
+int usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "usage: netpp_cli <command> [flags]\n"
+      "\n"
+      "commands:\n"
+      "  cluster      baseline (or custom) cluster power summary\n"
+      "  table3       paper Table 3: savings vs proportionality/bandwidth\n"
+      "  fig3         paper Figure 3: fixed-workload speedup series\n"
+      "  fig4         paper Figure 4: fixed-ratio speedup series\n"
+      "  savings      one savings cell at proportionality --prop\n"
+      "  sensitivity  headline metrics vs modeling assumptions\n"
+      "  faults       fault-injection resilience run on a tailored fabric\n"
+      "  mech         composed Sec. 4 mechanism stack on an ML fat tree\n"
+      "  telemetry    faults scenario with full tracing/sampling, summarized\n"
+      "\n"
+      "flags: --csv                  CSV instead of an ASCII table\n"
+      "telemetry outputs (faults/mech/telemetry):\n"
+      "              --trace-out FILE.json    Chrome trace (Perfetto)\n"
+      "              --metrics-out FILE.json  metrics dump\n"
+      "snapshots (faults/mech):\n"
+      "              --save-state FILE        faults: run to --save-at (default\n"
+      "                                       half the fault horizon), snapshot,\n"
+      "                                       stop; mech: snapshot the final\n"
+      "                                       metric registry after the run\n"
+      "              --load-state FILE        faults: restore and continue to\n"
+      "                                       the end; mech: restore the metric\n"
+      "                                       registry and re-export it\n"
+      "              --save-at T              faults snapshot time (seconds)\n"
+      "\n"
+      "scenario flags (netpp_serve field, accepted values, commands); the\n"
+      "budgets are per-domain average power in W (0 = unbudgeted), and\n"
+      "sharded faults runs the k=4 fat tree instead of the leaf-spine:\n");
+  for (const serve::Knob& knob : serve::knobs()) {
+    std::string commands;
+    for (const Command& command : kCommands) {
+      if (command.knobs && knob.takes(*command.knobs)) {
+        commands += ' ';
+        commands += command.name;
+      }
+    }
+    const std::string values =
+        (knob.type == serve::KnobType::kInteger ? "integer " : "") +
+        knob.range();
+    std::fprintf(out, "  %-15s %-15s %-28s%s\n", knob.flag, knob.name,
+                 values.c_str(), commands.c_str());
+  }
+  return out == stdout ? 0 : 2;
+}
+
+using KnobArgs = std::vector<std::pair<const serve::Knob*, std::string>>;
+
+/// Rejects the command line; main prints the one diagnostic line.
+[[noreturn]] void fail(const std::string& message) {
+  throw std::invalid_argument(message);
+}
+
+std::string does_not_apply(const std::string& flag, const Command& command) {
+  return "flag '" + flag + "' does not apply to '" + command.name + "'";
+}
+
+/// A parse_query rejection of the scenario flags, in the CLI's wording.
+std::string knob_error(const serve::ServeError& e, const Command& command,
+                       const KnobArgs& args) {
+  // The last occurrence of a flag wins, as in the query.
+  const auto arg = std::find_if(args.rbegin(), args.rend(), [&](auto& a) {
+    return e.field() == a.first->name;
+  });
+  if (arg == args.rend()) return e.what();  // a default the model refuses
+  const auto& [knob, text] = *arg;
+  switch (e.code()) {
+    case serve::ErrorCode::kUnknownField:
+      return does_not_apply(knob->flag, command);
+    case serve::ErrorCode::kBackendMismatch:
+      return knob->flag + (" " + text) + " requires --backend sharded";
+    default:
+      if (knob->type == serve::KnobType::kEnum) {
+        return "unknown " + std::string{knob->name} + " '" + text +
+               "' (expected " + knob->range() + ")";
+      }
+      return "bad value '" + text + "' for flag '" + knob->flag + "' (" +
+             e.what() + ")";
+  }
+}
+
+Options parse(int argc, char** argv, const Command& command) {
+  Options opt;
+  KnobArgs knobs;
+  for (int i = 2; i < argc; ++i) {
+    std::string flag = argv[i];
+    std::optional<std::string> value;
+    if (const auto eq = flag.find('='); eq != std::string::npos) {
+      value = flag.substr(eq + 1);
+      flag.resize(eq);
+    }
+    if (flag == "--csv") {
+      if (value) fail("flag '--csv' takes no value");
+      opt.csv = true;
+      continue;
+    }
+    // Every other flag takes one value: either inline (--flag=value) or the
+    // next argument (--flag value).
+    const serve::Knob* knob = serve::find_cli_flag(flag);
+    std::string* path = flag == "--trace-out"     ? &opt.trace_out
+                        : flag == "--metrics-out" ? &opt.metrics_out
+                        : flag == "--save-state"  ? &opt.save_state
+                        : flag == "--load-state"  ? &opt.load_state
+                                                  : nullptr;
+    if (knob == nullptr && path == nullptr && flag != "--save-at") {
+      fail("unknown flag '" + flag + "' (see 'netpp_cli help')");
+    }
+    if (knob != nullptr && !command.knobs) fail(does_not_apply(flag, command));
+    if (!value) {
+      if (i + 1 >= argc) fail("flag '" + flag + "' needs a value");
+      value = argv[++i];
+    }
+    if (knob != nullptr) {
+      knobs.emplace_back(knob, *value);
+    } else if (path != nullptr) {
+      *path = *value;
+    } else {
+      char* end = nullptr;
+      opt.save_at_s = std::strtod(value->c_str(), &end);
+      if (end == value->c_str() || *end != '\0' || !(opt.save_at_s >= 0.0)) {
+        fail("bad value '" + *value + "' for flag '" + flag + "'");
+      }
+    }
+  }
+  if (command.knobs) {
+    try {
+      opt.scenario =
+          serve::parse_query(serve::cli_query(*command.knobs, knobs)).opt;
+    } catch (const serve::ServeError& e) {
+      fail(knob_error(e, command, knobs));
+    }
+  }
+  return opt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return error_out("missing command (see 'netpp_cli help')");
-  const std::string command = argv[1];
-  if (command == "help" || command == "--help" || command == "-h") {
+  const std::string name = argv[1];
+  if (name == "help" || name == "--help" || name == "-h") {
     return usage(stdout);
   }
-  Options opt;
-  if (!parse(argc, argv, opt)) return 2;
-
-  if (command == "cluster") return cmd_cluster(opt);
-  if (command == "table3") return cmd_table3(opt);
-  if (command == "fig3") return cmd_fig(opt, BudgetScenario::kFixedWorkload);
-  if (command == "fig4") return cmd_fig(opt, BudgetScenario::kFixedCommRatio);
-  if (command == "savings") return cmd_savings(opt);
-  if (command == "sensitivity") return cmd_sensitivity(opt);
-  if (command == "faults") return cmd_faults(opt);
-  if (command == "mech") return cmd_mech(opt);
-  if (command == "telemetry") return cmd_telemetry(opt);
-  return error_out("unknown command '" + command + "' (see 'netpp_cli help')");
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    // Every failure, from a bad flag to snapshot I/O, is one diagnostic
+    // line and exit 2, never an abort.
+    try {
+      return command.run(parse(argc, argv, command));
+    } catch (const std::exception& e) {
+      return error_out(e.what());
+    }
+  }
+  return error_out("unknown command '" + name + "' (see 'netpp_cli help')");
 }
