@@ -109,6 +109,14 @@ class FlowSimulator {
     /// Total flows handed to the solver across binding_solves (the average
     /// subset size is binding_subset_flows / binding_solves).
     std::uint64_t binding_subset_flows = 0;
+    /// Flows a seeded solve kept at their cached rate because that rate lies
+    /// below the event's fill level (the level cut; see docs/MODELS.md).
+    std::uint64_t level_fixed_flows = 0;
+    /// Closure walks redone at a lower cut because the cut did not sit in a
+    /// gap of the cached rates.
+    std::uint64_t level_retries = 0;
+    /// Seeded solves that gave up on the cut and walked the whole closure.
+    std::uint64_t level_unpruned = 0;
     std::uint64_t topology_changes = 0;  // enable/disable/degrade events
     std::uint64_t reroutes = 0;          // flows moved to a surviving path
     std::uint64_t stranded = 0;          // flows with no surviving path
@@ -292,6 +300,10 @@ class FlowSimulator {
   [[nodiscard]] FlowId active_flow_id(std::size_t index) const {
     return active_[index].id;
   }
+  /// Current max-min rate of the active flow at `index`, in bits/s.
+  [[nodiscard]] double active_flow_rate_bps(std::size_t index) const {
+    return flow_rate_bps_[index];
+  }
   [[nodiscard]] std::uint64_t active_flow_tag(std::size_t index) const {
     return active_[index].spec.tag;
   }
@@ -354,6 +366,13 @@ class FlowSimulator {
   /// reallocate() can confine the writeback. See reallocate() for why this
   /// is the same allocation.
   bool reallocate_binding_subset(double cap_bps);
+  /// One seeded closure walk at level cut `cut`: fills the solver rows, the
+  /// solver links with their fixed-member residuals, and the direct-capped
+  /// list. Returns `cut` when the cut sits in a gap of the cached rates, or
+  /// a lower cut to retry with when it does not.
+  double walk_seeded_closure(double cut);
+  /// Starts a new generation of the walk's visit stamps.
+  void next_bind_gen();
   void schedule_next_completion();
   /// Completion (re)scheduling after a fast arrival: the new flow is the
   /// only one whose completion estimate changed and it runs exactly at the
@@ -367,6 +386,11 @@ class FlowSimulator {
   /// run at its cap without saturating any link it crosses, no other
   /// allocation moves.
   bool try_fast_arrival(Seconds now, std::size_t i);
+  /// The level below which no fill round changes when flow `index` (just
+  /// enrolled, cached rate still zero) joins: the lowest level at which one
+  /// of its links would fill, given the other members' cached rates, capped
+  /// at the uniform cap. Sorts in bind_fixed_rates_.
+  double arrival_fill_level(std::uint32_t index);
   /// Departure fast path: a flow leaving only strictly-unsaturated links
   /// frees no bottleneck, so the remaining allocations stand.
   bool try_fast_departure(Seconds now, std::size_t i);
@@ -613,6 +637,17 @@ class FlowSimulator {
   // feeds the telemetry counter (same totals the pre-filtered problem had).
   std::size_t bind_discovered_ = 0;
   std::uint32_t bind_gen_ = 0;
+  // Level cut: flows the walk found with a rate below the cut keep it and
+  // get no solver row. bind_residual_ holds each solver link's capacity
+  // minus its fixed members' rates (the solver's capacities input; only
+  // solver links are written), bind_fixed_rates_ is one link's fixed rates
+  // while it is walked, bind_capped_ the closure flows whose max-min rate
+  // is the cap (applied once a walk is accepted), and bind_fixed_ the
+  // number of distinct fixed flows the walk met.
+  std::vector<double> bind_residual_;
+  std::vector<double> bind_fixed_rates_;
+  std::vector<std::uint32_t> bind_capped_;
+  std::size_t bind_fixed_ = 0;
   // Seed links for the next reallocation: the directed links of the flows
   // that arrived/departed since the last solve. When valid, only the flows
   // reachable from these links through binding links are re-solved; every
@@ -620,6 +655,14 @@ class FlowSimulator {
   // (reset to full) by reallocate().
   std::vector<std::uint32_t> seed_links_;
   bool seed_valid_ = false;
+  // The event's fill level: every fill round below it is the same before
+  // and after the event. An arrival's is arrival_fill_level(), a completion
+  // batch's the smallest departed flow's rate.
+  // seed_arrival_ names the arriving flow (its cached rate is a placeholder
+  // zero), or kNoArrival. Both are set with seed_valid_ and consumed with it.
+  static constexpr std::uint32_t kNoArrival = 0xffffffffu;
+  double seed_level_ = 0.0;
+  std::uint32_t seed_arrival_ = kNoArrival;
   RouteCache route_cache_;
   // Telemetry instruments. The counters behind ReallocStats live here: each
   // increment site bumps a registry slot (Config::telemetry's registry, or
@@ -630,6 +673,9 @@ class FlowSimulator {
     telemetry::Counter fast_departures;
     telemetry::Counter binding_solves;
     telemetry::Counter binding_subset_flows;
+    telemetry::Counter level_fixed_flows;
+    telemetry::Counter level_retries;
+    telemetry::Counter level_unpruned;
     telemetry::Counter topology_changes;
     telemetry::Counter reroutes;
     telemetry::Counter stranded;

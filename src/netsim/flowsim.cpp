@@ -18,6 +18,9 @@ constexpr double kEpsBits = 1.0;  // flows within 1 bit of done are done
 // capacity; the margin absorbs the tiny float drift the incremental
 // carried-rate bookkeeping can accumulate between full solves.
 constexpr double kUnsaturatedFraction = 1.0 - 1e-9;
+// Relative width of the gap a seeded solve's level cut must sit in, and of
+// the cut's margin below the event's fill level.
+constexpr double kLevelGap = 1e-9;
 }  // namespace
 
 void FlowSimulator::LinkFlowPool::repack() {
@@ -140,6 +143,15 @@ void FlowSimulator::init_instruments(telemetry::MetricRegistry& registry) {
   inst_.binding_subset_flows =
       registry.counter("netsim.realloc.binding_subset_flows", "flows",
                        "total flows handed to the solver by binding solves");
+  inst_.level_fixed_flows =
+      registry.counter("netsim.realloc.level_fixed_flows", "flows",
+                       "closure flows kept below the event's fill level");
+  inst_.level_retries =
+      registry.counter("netsim.realloc.level_retries", "walks",
+                       "closure walks redone at a lower level cut");
+  inst_.level_unpruned =
+      registry.counter("netsim.realloc.level_unpruned", "solves",
+                       "seeded solves that fell back to no level cut");
   inst_.topology_changes =
       registry.counter("netsim.realloc.topology_changes", "events",
                        "node/link enable, disable, and degrade events");
@@ -206,6 +218,9 @@ const FlowSimulator::ReallocStats& FlowSimulator::realloc_stats() const {
   realloc_stats_.fast_departures = inst_.fast_departures.value();
   realloc_stats_.binding_solves = inst_.binding_solves.value();
   realloc_stats_.binding_subset_flows = inst_.binding_subset_flows.value();
+  realloc_stats_.level_fixed_flows = inst_.level_fixed_flows.value();
+  realloc_stats_.level_retries = inst_.level_retries.value();
+  realloc_stats_.level_unpruned = inst_.level_unpruned.value();
   realloc_stats_.topology_changes = inst_.topology_changes.value();
   realloc_stats_.reroutes = inst_.reroutes.value();
   realloc_stats_.stranded = inst_.stranded.value();
@@ -290,6 +305,8 @@ void FlowSimulator::admit(FlowSpec spec, FlowId id) {
     // closure there.
     const auto links = flow_links(index);
     seed_links_.assign(links.begin(), links.end());
+    seed_level_ = arrival_fill_level(static_cast<std::uint32_t>(index));
+    seed_arrival_ = static_cast<std::uint32_t>(index);
     seed_valid_ = true;
     reallocate(now);
   }
@@ -749,6 +766,36 @@ bool FlowSimulator::try_fast_arrival(Seconds now, std::size_t i) {
   return true;
 }
 
+double FlowSimulator::arrival_fill_level(std::uint32_t index) {
+  // Below the returned level every fill round is the same with and without
+  // the new flow. By induction over the rounds: while they agree, a member
+  // of one of the new flow's links whose cached rate is below level t is
+  // frozen there at that rate and every other member still rises with t,
+  // so the link is full at the level where those frozen rates plus t per
+  // rising member (the new flow included) reach its capacity — never below
+  // capacity / count, which is the first guess. The cap bounds it too.
+  double level = config_.flow_rate_cap.bits_per_second();
+  for (std::uint32_t r : flow_links(index)) {
+    const double share0 =
+        directed_capacity_bps_[r] / static_cast<double>(link_flows_.count(r));
+    if (share0 >= level) continue;
+    bind_fixed_rates_.clear();
+    for (std::uint32_t f : link_flows_.flows(r)) {
+      if (f != index) bind_fixed_rates_.push_back(flow_rate_bps_[f]);
+    }
+    std::sort(bind_fixed_rates_.begin(), bind_fixed_rates_.end());
+    const std::size_t n = bind_fixed_rates_.size();
+    double left = directed_capacity_bps_[r];
+    double fill = share0;
+    for (std::size_t k = 0; k < n && bind_fixed_rates_[k] < fill; ++k) {
+      left -= bind_fixed_rates_[k];
+      fill = left / static_cast<double>(n - k);
+    }
+    level = std::min(level, fill);
+  }
+  return level;
+}
+
 bool FlowSimulator::try_fast_departure(Seconds now, std::size_t i) {
   if (!config_.incremental_reallocation) return false;
   for (std::uint32_t r : flow_links(i)) {
@@ -852,15 +899,7 @@ void FlowSimulator::reallocate(Seconds now) {
   if (listener_) listener_(now);
 }
 
-bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
-  if (bind_flag_.size() < directed_capacity_bps_.size()) {
-    bind_flag_.resize(directed_capacity_bps_.size(), 0);
-    bind_link_seen_.resize(directed_capacity_bps_.size(), 0);
-    bind_sub_seen_.resize(directed_capacity_bps_.size(), 0);
-  }
-  if (bind_flow_seen_.size() < active_.size()) {
-    bind_flow_seen_.resize(active_.size(), 0);
-  }
+void FlowSimulator::next_bind_gen() {
   if (++bind_gen_ == 0) {
     // Stamp wrapped: invalidate everything once and restart at 1.
     std::fill(bind_link_seen_.begin(), bind_link_seen_.end(), 0);
@@ -868,6 +907,19 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
     std::fill(bind_sub_seen_.begin(), bind_sub_seen_.end(), 0);
     bind_gen_ = 1;
   }
+}
+
+bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
+  if (bind_flag_.size() < directed_capacity_bps_.size()) {
+    bind_flag_.resize(directed_capacity_bps_.size(), 0);
+    bind_link_seen_.resize(directed_capacity_bps_.size(), 0);
+    bind_sub_seen_.resize(directed_capacity_bps_.size(), 0);
+    bind_residual_.resize(directed_capacity_bps_.size(), 0.0);
+  }
+  if (bind_flow_seen_.size() < active_.size()) {
+    bind_flow_seen_.resize(active_.size(), 0);
+  }
+  next_bind_gen();
 
   bind_flows_.clear();
   std::size_t capped_direct = 0;  // closure flows assigned the cap directly
@@ -963,82 +1015,41 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
                         ? 1
                         : 0);
     }
-    // Seeded closure: the event changed flow counts only on the seed links,
-    // so only flows reachable from them — across a seed link directly, or
-    // transitively through binding links (non-binding links never constrain
-    // anyone, so they carry no coupling) — can see a different max-min
-    // rate. Everything outside the closure keeps its cached rate: its
-    // subproblem inputs are unchanged, so a fresh solve would reproduce the
-    // same doubles.
-    // The walk doubles as the problem build: each flow is discovered exactly
-    // once, so its solver row — the flow's incrementally-maintained filtered
-    // link list (see filt_links / set_share_flag), streamed into the solver
-    // CSR arena — is laid down on the spot, alongside the deduplicated link
-    // lists. Filtering is exact in seeded mode: the flag is
-    // "full-population equal share below the cap", and the subproblem share
-    // of an unflagged link is at least its full share (fewer flows, same
-    // capacity), so its heap key never drops below the cap: the cap branch
-    // beats it in every round (ties included via the gate's >= and the
-    // exact branch's <=), it never becomes the tight link, and its residual
-    // bookkeeping is write-only. Dropping it changes no decision and no
-    // computed double — but shrinks the solver's counting, CSR, heap, and
-    // freeze work to the contended core. A closure flow with an empty
-    // filtered list would freeze at exactly the cap with zero link
-    // interaction, so it bypasses the solver and takes the cap directly.
-    // Discovery order (and with it solver row order) follows the filtered
-    // lists' internal order, which is arbitrary; the solution is row-order
-    // independent because every freeze in one filling round subtracts the
-    // same value. (The full-mode candidate flag has no such share bound, so
-    // full solves keep the unfiltered lists.)
-    bind_sub_links_.clear();
-    bind_solver_links_.clear();
-    bind_solver_arena_.clear();
-    bind_solver_start_.clear();
-    bind_solver_start_.push_back(0);
-    bind_stack_.clear();
-    for (std::uint32_t r : seed_links_) {
-      // Seed links with no remaining flows (e.g. a departed flow's last
-      // link) have nothing to walk.
-      if (link_flows_.empty(r)) continue;
-      if (bind_link_seen_[r] == bind_gen_) continue;
-      bind_link_seen_[r] = bind_gen_;
-      if (flag_lt_cap_[r] != 0) bind_solver_links_.push_back(r);
-      bind_stack_.push_back(r);
+    // Level cut: progressive filling freezes flows at non-decreasing
+    // levels, and every fill round below the event's level (seed_level_)
+    // is the same before and after the event. So a flow whose cached rate
+    // lies below that level keeps it, and so do the residuals it leaves on
+    // its links. The walk treats such flows as fixed (no traversal, no
+    // solver row) and starts each solver link at the residual its fixed
+    // members leave. Levels are monotone only up to rounding, so the cut
+    // sits 1e-9 below the level and must fall in a gap of the cached rates
+    // (see walk_seeded_closure); when it does not, the walk is redone at a
+    // lower cut, and after kLevelAttempts tries without any cut.
+    constexpr int kLevelAttempts = 4;
+    double cut = seed_level_ * (1.0 - kLevelGap);
+    for (int attempt = 1;; ++attempt) {
+      if (attempt > kLevelAttempts) {
+        cut = 0.0;  // rates are non-negative: nothing is fixed
+        inst_.level_unpruned.inc();
+      }
+      const double lowered = walk_seeded_closure(cut);
+      if (!(lowered < cut)) break;
+      inst_.level_retries.inc();
+      cut = lowered;
+      next_bind_gen();
     }
-    while (!bind_stack_.empty()) {
-      const std::uint32_t r = bind_stack_.back();
-      bind_stack_.pop_back();
-      for (std::uint32_t f : link_flows_.flows(r)) {
-        if (bind_flow_seen_[f] == bind_gen_) continue;
-        bind_flow_seen_[f] = bind_gen_;
-        const auto filtered = filt_links(f);
-        if (filtered.empty()) {
-          // No binding candidate on the path: the max-min rate is the cap.
-          // If that changes the cached rate, the flow's links join the
-          // writeback list exactly as a solver-row rate change would.
-          ++capped_direct;
-          if (flow_rate_bps_[f] != cap_bps) {
-            flow_rate_bps_[f] = cap_bps;
-            for (std::uint32_t l : flow_links(f)) {
-              if (bind_sub_seen_[l] != bind_gen_) {
-                bind_sub_seen_[l] = bind_gen_;
-                bind_sub_links_.push_back(l);
-              }
-            }
-          }
-          continue;
+    // A closure flow with no binding candidate on its path runs at the cap.
+    // If that changes the cached rate, the flow's links join the writeback
+    // list exactly as a solver-row rate change would.
+    capped_direct = bind_capped_.size();
+    for (std::uint32_t f : bind_capped_) {
+      if (flow_rate_bps_[f] == cap_bps) continue;
+      flow_rate_bps_[f] = cap_bps;
+      for (std::uint32_t l : flow_links(f)) {
+        if (bind_sub_seen_[l] != bind_gen_) {
+          bind_sub_seen_[l] = bind_gen_;
+          bind_sub_links_.push_back(l);
         }
-        bind_flows_.push_back(f);
-        for (std::uint32_t l : filtered) {
-          bind_solver_arena_.push_back(l);
-          if (bind_link_seen_[l] != bind_gen_) {
-            bind_link_seen_[l] = bind_gen_;
-            bind_solver_links_.push_back(l);
-            bind_stack_.push_back(l);
-          }
-        }
-        bind_solver_start_.push_back(
-            static_cast<std::uint32_t>(bind_solver_arena_.size()));
       }
     }
     // Live seed links changed membership (the event's own flow arrived or
@@ -1051,6 +1062,7 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
         bind_sub_links_.push_back(r);
       }
     }
+    if (bind_fixed_ != 0) inst_.level_fixed_flows.inc(bind_fixed_);
   }
 
   bind_discovered_ = bind_flows_.size() + capped_direct;
@@ -1063,12 +1075,12 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
     }
     // Sparse solve: only the links the subproblem crosses are reset in the
     // solver's resource-indexed workspace. The seeded path hands the solver
-    // its pre-flattened CSR directly (zero-copy, no per-row views).
+    // its pre-flattened CSR directly (zero-copy, no per-row views), with
+    // the level cut's residuals as the capacities.
     const auto rates =
         seed_valid_
             ? solver_.solve_arena(bind_solver_arena_, bind_solver_start_,
-                                  directed_capacity_bps_, bind_solver_links_,
-                                  cap_bps)
+                                  bind_residual_, bind_solver_links_, cap_bps)
             : solver_.solve_on(problem_, directed_capacity_bps_,
                                std::span<const std::uint32_t>(touched_links_),
                                cap_bps);
@@ -1100,6 +1112,117 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
   }
   inst_.binding_solves.inc();
   return seed_valid_;
+}
+
+double FlowSimulator::walk_seeded_closure(double cut) {
+  // Seeded closure: the event changed flow counts only on the seed links,
+  // so only flows reachable from them — across a seed link directly, or
+  // transitively through binding links (non-binding links never constrain
+  // anyone, so they carry no coupling) — can see a different max-min
+  // rate. Everything outside the closure keeps its cached rate: its
+  // subproblem inputs are unchanged, so a fresh solve would reproduce the
+  // same doubles. Fixed flows (cached rate below `cut`) end the walk the
+  // same way: their rates, and the residuals they leave, are unchanged.
+  // The walk doubles as the problem build: each flow is discovered exactly
+  // once, so its solver row — the flow's incrementally-maintained filtered
+  // link list (see filt_links / set_share_flag), streamed into the solver
+  // CSR arena — is laid down on the spot, alongside the deduplicated link
+  // lists. Filtering is exact in seeded mode: the flag is
+  // "full-population equal share below the cap", and the subproblem share
+  // of an unflagged link is at least its full share (fewer flows, same
+  // capacity), so its heap key never drops below the cap: the cap branch
+  // beats it in every round (ties included via the gate's >= and the
+  // exact branch's <=), it never becomes the tight link, and its residual
+  // bookkeeping is write-only. Dropping it changes no decision and no
+  // computed double — but shrinks the solver's counting, CSR, heap, and
+  // freeze work to the contended core. A closure flow with an empty
+  // filtered list would freeze at exactly the cap with zero link
+  // interaction, so it bypasses the solver and takes the cap directly.
+  // Discovery order (and with it solver row order) follows the filtered
+  // lists' internal order, which is arbitrary; the solution is row-order
+  // independent because every freeze in one filling round subtracts the
+  // same value. (The full-mode candidate flag has no such share bound, so
+  // full solves keep the unfiltered lists.)
+  //
+  // The cut must sit in a gap: a fixed rate within kLevelGap below it, or
+  // two distinct fixed rates within kLevelGap of each other on one solver
+  // link, could have frozen out of the order assumed here (fixed flows
+  // before every other flow, ascending among themselves). Either case
+  // lowers the returned cut below that cluster.
+  const double cut_floor = cut * (1.0 - kLevelGap);
+  double lowered = cut;
+  bind_flows_.clear();
+  bind_capped_.clear();
+  bind_fixed_ = 0;
+  bind_sub_links_.clear();
+  bind_solver_links_.clear();
+  bind_solver_arena_.clear();
+  bind_solver_start_.clear();
+  bind_solver_start_.push_back(0);
+  bind_stack_.clear();
+  for (std::uint32_t r : seed_links_) {
+    // Seed links with no remaining flows (e.g. a departed flow's last
+    // link) have nothing to walk.
+    if (link_flows_.empty(r)) continue;
+    if (bind_link_seen_[r] == bind_gen_) continue;
+    bind_link_seen_[r] = bind_gen_;
+    if (flag_lt_cap_[r] != 0) bind_solver_links_.push_back(r);
+    bind_stack_.push_back(r);
+  }
+  while (!bind_stack_.empty()) {
+    const std::uint32_t r = bind_stack_.back();
+    bind_stack_.pop_back();
+    const bool solver_link = flag_lt_cap_[r] != 0;
+    bind_fixed_rates_.clear();
+    for (std::uint32_t f : link_flows_.flows(r)) {
+      const double rate = flow_rate_bps_[f];
+      if (rate < cut && f != seed_arrival_) {
+        if (rate >= cut_floor) lowered = std::min(lowered, rate);
+        if (solver_link) bind_fixed_rates_.push_back(rate);
+        if (bind_flow_seen_[f] != bind_gen_) {
+          bind_flow_seen_[f] = bind_gen_;
+          ++bind_fixed_;
+        }
+        continue;
+      }
+      if (bind_flow_seen_[f] == bind_gen_) continue;
+      bind_flow_seen_[f] = bind_gen_;
+      const auto filtered = filt_links(f);
+      if (filtered.empty()) {
+        bind_capped_.push_back(f);
+        continue;
+      }
+      bind_flows_.push_back(f);
+      for (std::uint32_t l : filtered) {
+        bind_solver_arena_.push_back(l);
+        if (bind_link_seen_[l] != bind_gen_) {
+          bind_link_seen_[l] = bind_gen_;
+          bind_solver_links_.push_back(l);
+          bind_stack_.push_back(l);
+        }
+      }
+      bind_solver_start_.push_back(
+          static_cast<std::uint32_t>(bind_solver_arena_.size()));
+    }
+    if (!solver_link) continue;
+    // The fixed members froze first, in ascending rate order: subtract them
+    // the way the solver's freeze does, clamp included.
+    double residual = directed_capacity_bps_[r];
+    if (bind_fixed_rates_.size() > 1) {
+      std::sort(bind_fixed_rates_.begin(), bind_fixed_rates_.end());
+    }
+    double prev = -1.0;
+    for (double rate : bind_fixed_rates_) {
+      if (prev < rate && prev >= rate * (1.0 - kLevelGap)) {
+        lowered = std::min(lowered, prev);
+      }
+      const double left = residual - rate;
+      residual = left > 0.0 ? left : 0.0;
+      prev = rate;
+    }
+    bind_residual_[r] = residual;
+  }
+  return lowered;
 }
 
 void FlowSimulator::schedule_next_completion() {
@@ -1162,6 +1285,7 @@ void FlowSimulator::complete_due_flows(Seconds now) {
   settle_progress(now);
   bool any = false;
   bool all_fast = true;
+  double min_departed_rate = std::numeric_limits<double>::infinity();
   seed_links_.clear();
   for (std::size_t i = 0; i < active_.size();) {
     if (flow_remaining_[i] > kEpsBits) {
@@ -1181,6 +1305,7 @@ void FlowSimulator::complete_due_flows(Seconds now) {
     // binding-subset seeds in case this event needs a re-solve.
     const auto links = flow_links(i);
     seed_links_.insert(seed_links_.end(), links.begin(), links.end());
+    min_departed_rate = std::min(min_departed_rate, flow_rate_bps_[i]);
     all_fast = all_fast && try_fast_departure(now, i);
     release_flow_links(i);
     // Swap-and-pop: active-flow order carries no meaning (records and
@@ -1196,6 +1321,11 @@ void FlowSimulator::complete_due_flows(Seconds now) {
     update_flow_gauges();
     if (listener_) listener_(now);
   } else {
+    // A departed flow was still rising below its own rate, so none of its
+    // links filled below it: no fill round below the smallest departed
+    // rate changes.
+    seed_level_ = min_departed_rate;
+    seed_arrival_ = kNoArrival;
     seed_valid_ = true;
     reallocate(now);
   }

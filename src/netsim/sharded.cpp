@@ -532,6 +532,9 @@ FlowSimulator::ReallocStats ShardedFlowSimulator::realloc_stats() const {
     total.fast_departures += s.fast_departures;
     total.binding_solves += s.binding_solves;
     total.binding_subset_flows += s.binding_subset_flows;
+    total.level_fixed_flows += s.level_fixed_flows;
+    total.level_retries += s.level_retries;
+    total.level_unpruned += s.level_unpruned;
     total.topology_changes += s.topology_changes;
     total.reroutes += s.reroutes;
     total.stranded += s.stranded;

@@ -102,6 +102,12 @@ TEST(TelemetryIntegration, RegistryCountersBitMatchLegacyAccessors) {
             rs.binding_solves);
   EXPECT_EQ(m.counter_value("netsim.realloc.binding_subset_flows"),
             rs.binding_subset_flows);
+  EXPECT_EQ(m.counter_value("netsim.realloc.level_fixed_flows"),
+            rs.level_fixed_flows);
+  EXPECT_EQ(m.counter_value("netsim.realloc.level_retries"),
+            rs.level_retries);
+  EXPECT_EQ(m.counter_value("netsim.realloc.level_unpruned"),
+            rs.level_unpruned);
   EXPECT_EQ(m.counter_value("netsim.realloc.topology_changes"),
             rs.topology_changes);
   EXPECT_EQ(m.counter_value("netsim.realloc.reroutes"), rs.reroutes);

@@ -3,7 +3,9 @@
 # netpp_cli contract; netpp_serve's error tests pass their own.
 #
 # Usage: cmake -DCLI=<path> -DCLI_ARGS=<semicolon-list> -DPATTERN=<regex>
-#              [-DPREFIX=<literal>] -P expect_cli_error.cmake
+#              [-DPREFIX=<literal>] [-DEXIT_CODE=<n>] -P expect_cli_error.cmake
+#
+# EXIT_CODE, when given, must match the exit status exactly.
 if(NOT DEFINED CLI OR NOT DEFINED CLI_ARGS OR NOT DEFINED PATTERN)
   message(FATAL_ERROR "expect_cli_error.cmake needs CLI, CLI_ARGS, PATTERN")
 endif()
@@ -21,6 +23,11 @@ execute_process(
 if(exit_code EQUAL 0)
   message(FATAL_ERROR
     "expected a non-zero exit from: ${CLI} ${CLI_ARGS}\nstderr: ${stderr_text}")
+endif()
+if(DEFINED EXIT_CODE AND NOT exit_code STREQUAL EXIT_CODE)
+  message(FATAL_ERROR
+    "expected exit ${EXIT_CODE}, got ${exit_code} from: ${CLI} ${CLI_ARGS}\n"
+    "stderr: ${stderr_text}")
 endif()
 string(FIND "${stderr_text}" "${PREFIX}" prefix_at)
 if(prefix_at EQUAL -1)

@@ -23,6 +23,7 @@
 // building the baseline in-process. A damaged baseline file does not take
 // the server down: queries that fork it are answered with typed
 // corrupt_baseline errors.
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -52,6 +53,10 @@ struct Options {
   std::size_t threads = 0;
 };
 
+// Largest --threads value accepted: far above any useful batch fan-out, and
+// small enough that the cast to std::size_t is always defined.
+constexpr double kMaxThreads = 4096.0;
+
 int error_out(const std::string& message) {
   std::fprintf(stderr, "netpp_serve: error: %s\n", message.c_str());
   return 2;
@@ -73,7 +78,8 @@ int usage(std::FILE* out) {
       "\n"
       "flags:\n"
       "  --baseline FILE      install a warm-baseline image from FILE\n"
-      "  --threads N          batch worker ceiling (0 = thread budget)\n"
+      "  --threads N          batch worker ceiling, 0..4096\n"
+      "                       (0 = thread budget)\n"
       "  --warm               build the default baseline before serving\n"
       "  --stats              print engine stats to stderr on exit\n"
       "  --help               this text\n");
@@ -124,8 +130,11 @@ bool parse(int argc, char** argv, Options& opt) {
     } else {
       char* parse_end = nullptr;
       const double threads = std::strtod(value.c_str(), &parse_end);
-      if (parse_end == value.c_str() || *parse_end != '\0' || threads < 0 ||
-          threads != static_cast<double>(static_cast<std::size_t>(threads))) {
+      // Range first, written so NaN fails it too: casting a NaN or a value
+      // beyond std::size_t to an integer is undefined behaviour.
+      if (parse_end == value.c_str() || *parse_end != '\0' ||
+          !(threads >= 0.0 && threads <= kMaxThreads) ||
+          threads != std::floor(threads)) {
         error_out("bad value '" + value + "' for flag '--threads'");
         return false;
       }
