@@ -10,6 +10,7 @@
 //   ./build/examples/isp_diurnal
 #include <cstdio>
 
+#include "netpp/mech/mechanism.h"
 #include "netpp/mech/parking.h"
 #include "netpp/mech/rateadapt.h"
 #include "netpp/mech/trace_recorder.h"
@@ -56,13 +57,13 @@ int main() {
   NodeId busiest = topo.switches.front();
   double best = -1.0;
   for (NodeId pop : topo.switches) {
-    const auto trace = recorder.aggregate_trace(pop, horizon);
+    const LoadTrace trace = recorder.load_trace(pop, 1, horizon);
     double integral = 0.0;
     for (std::size_t i = 0; i < trace.times.size(); ++i) {
       const double seg_end = (i + 1 < trace.times.size())
                                  ? trace.times[i + 1].value()
                                  : trace.end.value();
-      integral += trace.loads[i] * (seg_end - trace.times[i].value());
+      integral += trace.loads[i][0] * (seg_end - trace.times[i].value());
     }
     if (integral > best) {
       best = integral;
@@ -78,16 +79,16 @@ int main() {
 
   RateAdaptConfig ra;
   ra.model = model;
-  const auto pipe_trace =
-      recorder.pipeline_trace(busiest, model.config().num_pipelines, horizon);
-  const auto global =
-      simulate_rate_adaptation(pipe_trace, ra, RateAdaptMode::kGlobalAsic);
-  const auto per_pipe =
-      simulate_rate_adaptation(pipe_trace, ra, RateAdaptMode::kPerPipeline);
+  const LoadTrace pipe_trace =
+      recorder.load_trace(busiest, model.config().num_pipelines, horizon);
+  RateAdaptPolicy global_policy{ra, RateAdaptMode::kGlobalAsic};
+  const MechanismReport global = run_mechanism(pipe_trace, global_policy);
+  RateAdaptPolicy per_pipe_policy{ra, RateAdaptMode::kPerPipeline};
+  const MechanismReport per_pipe = run_mechanism(pipe_trace, per_pipe_policy);
   RateAdaptConfig ra_lanes = ra;
   ra_lanes.lane_steps = {0.25, 0.5, 1.0};
-  const auto lanes = simulate_rate_adaptation(pipe_trace, ra_lanes,
-                                              RateAdaptMode::kPerPipeline);
+  RateAdaptPolicy lanes_policy{ra_lanes, RateAdaptMode::kPerPipeline};
+  const MechanismReport lanes = run_mechanism(pipe_trace, lanes_policy);
 
   ParkingConfig pk;
   pk.model = model;
@@ -95,20 +96,21 @@ int main() {
   pk.switch_capacity =
       Gbps{static_cast<double>(topo.graph.degree(busiest)) * 2.0 * 400.0};
   pk.wake_latency = Seconds::from_milliseconds(1.0);
-  const auto agg_trace = recorder.aggregate_trace(busiest, horizon);
-  const auto parked = simulate_parking_reactive(agg_trace, pk);
+  ReactiveParkingPolicy parking{pk};
+  const MechanismReport parked =
+      run_mechanism(recorder.load_trace(busiest, 1, horizon), parking);
 
   std::printf("Mechanism savings on the busiest PoP router (vs always-on):\n");
   std::printf("  rate adaptation, global clock:   %5.1f%%\n",
-              100.0 * global.savings_vs_none);
+              100.0 * global.savings);
   std::printf("  rate adaptation, per-pipeline:   %5.1f%%\n",
-              100.0 * per_pipe.savings_vs_none);
+              100.0 * per_pipe.savings);
   std::printf("  + SerDes down-rating:            %5.1f%%\n",
-              100.0 * lanes.savings_vs_none);
+              100.0 * lanes.savings);
   std::printf("  pipeline parking (reactive):     %5.1f%%  "
               "(%.2f pipelines active on average, %.2f MB peak buffer)\n",
-              100.0 * parked.savings_vs_all_on,
-              parked.mean_active_pipelines,
+              100.0 * parked.savings,
+              parked.mean_on_components,
               parked.max_buffered.value() / 8e6);
   std::printf(
       "\nUnlike the ML cluster, the backbone never fully idles - diurnal\n"

@@ -6,8 +6,8 @@
 // the rest powered off entirely — killing their leakage, which rate
 // adaptation cannot (§4.3 keeps most components powered).
 //
-// The simulator consumes an aggregate offered-load trace (fraction of the
-// whole switch's capacity) and a policy:
+// Each policy consumes a one-channel LoadTrace (aggregate offered load as a
+// fraction of the whole switch's capacity) through `run_mechanism`:
 //
 //   - Reactive: keep enough pipelines on so that the load fits under a
 //     target utilization; hysteresis thresholds avoid flapping. Waking a
@@ -18,13 +18,17 @@
 //     workloads"): a known schedule of (time, required pipelines) is
 //     followed, pre-waking `wake_latency` early so capacity is ready when
 //     the burst starts.
+//   - Resilient: reactive, except that fault-driven recall windows force
+//     every pipeline awake and add the rerouted load to the trace.
 //
 // Energy accounts the powered pipelines (at their served load), the chassis
 // and ports (always on), and the circuit switch's own overhead — the
 // "is the addition worth it?" question of §4.4.
 #pragma once
 
+#include <algorithm>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "netpp/mech/load_trace.h"
@@ -69,32 +73,46 @@ struct EmergencyRecall {
   double extra_load = 0.0;
 };
 
-struct ParkingResult {
-  Joules energy{};
-  Watts average_power{};
-  /// 1 - energy / energy(all pipelines always on) over the same trace.
-  double savings_vs_all_on = 0.0;
-  double mean_active_pipelines = 0.0;
-  std::size_t wake_transitions = 0;
-  std::size_t park_transitions = 0;
-  /// Buffering at the circuit switch while capacity was short.
-  Bits max_buffered{};
-  Bits dropped{};
-  /// Worst-case extra delay a buffered bit experienced (buffer/capacity).
-  Seconds max_added_delay{};
-  /// Pipelines force-woken by emergency recall windows (resilient variant).
-  std::size_t emergency_wakes = 0;
-};
+/// Throws std::invalid_argument unless `min_active` is in
+/// [1, num_pipelines] and `wake_latency` is non-negative; with `thresholds`
+/// (policies that read both hysteresis thresholds), also unless
+/// 0 <= lo_threshold < hi_threshold <= 1. NaN fails every check.
+void validate(const ParkingConfig& config, bool thresholds);
 
 namespace detail {
 
-/// Reactive hysteresis step shared by the parking policies and the
-/// composite stack: wake when the load exceeds `hi_threshold` of the
-/// provisioned capacity; park when it would fit under `lo_threshold` of one
-/// fewer pipeline.
-[[nodiscard]] int reactive_parking_target(const ParkingConfig& config,
-                                          int pipes, double offered,
+/// Reactive hysteresis step shared by every parking policy and the
+/// composite stack: wake when the load exceeds `hi` of the provisioned
+/// capacity; park when it would fit under `lo` of one fewer component.
+[[nodiscard]] int reactive_parking_target(double hi, double lo,
+                                          int components, double offered,
                                           int provisioned);
+
+/// Steers `timeline` to `target(provisioned)` (clamped into
+/// [min_active, components]) until the target equals the provisioned count,
+/// so that one-step-per-decision policies converge within one breakpoint.
+/// Growing wakes components; shrinking cancels pending wakes first, then
+/// parks powered components (never below `min_active`).
+template <class Target>
+void steer_parking(PowerStateTimeline& timeline, int min_active,
+                   int components, Target target) {
+  for (int guard = 0; guard <= components; ++guard) {
+    const int provisioned = timeline.provisioned();
+    const int want =
+        std::clamp(target(provisioned), min_active, components);
+    if (want == provisioned) break;
+    if (want > provisioned) {
+      for (int k = provisioned; k < want; ++k) timeline.wake_one();
+    } else {
+      int excess = provisioned - want;
+      while (excess > 0 && timeline.cancel_last_wake()) --excess;
+      while (excess > 0 && timeline.count(PowerState::kOn) > min_active) {
+        timeline.park_one();
+        --excess;
+      }
+    }
+  }
+}
 
 }  // namespace detail
 
@@ -102,11 +120,10 @@ namespace detail {
 /// desired pipeline count per decision point; the base emits wake/park
 /// transitions onto the timeline (canceling pending wakes before parking),
 /// prices powered/waking/parked pipelines plus the circuit switch, and
-/// opts in to the driver's capacity-shortfall buffering.
+/// opts in to run_mechanism's capacity-shortfall buffering. The trace must
+/// have one channel (the switch-aggregate load).
 class ParkingPolicy : public MechanismPolicy {
  public:
-  explicit ParkingPolicy(ParkingConfig config);
-
   [[nodiscard]] PowerStateTimeline make_timeline(
       const LoadTrace& trace) override;
   void observe(const LoadSegment& seg, PowerStateTimeline& timeline) override;
@@ -123,6 +140,10 @@ class ParkingPolicy : public MechanismPolicy {
   [[nodiscard]] const ParkingConfig& config() const { return config_; }
 
  protected:
+  /// Validates `config` (the hysteresis thresholds only when
+  /// `reads_thresholds`).
+  ParkingPolicy(ParkingConfig config, bool reads_thresholds);
+
   /// Desired pipeline count at decision time `t` for the aggregate
   /// `offered` load, given the currently provisioned (on + waking) count.
   /// Clamped into [min_active, num_pipelines] by the base.
@@ -140,7 +161,8 @@ class ParkingPolicy : public MechanismPolicy {
 /// Reactive hysteresis-threshold policy (wake over hi, park under lo).
 class ReactiveParkingPolicy : public ParkingPolicy {
  public:
-  using ParkingPolicy::ParkingPolicy;
+  explicit ReactiveParkingPolicy(ParkingConfig config)
+      : ParkingPolicy(std::move(config), true) {}
   [[nodiscard]] std::string_view name() const override {
     return "parking-reactive";
   }
@@ -177,23 +199,36 @@ class PredictiveParkingPolicy : public ParkingPolicy {
   std::vector<Command> commands_;
 };
 
-/// Reactive threshold policy over the trace.
-[[nodiscard]] ParkingResult simulate_parking_reactive(
-    const AggregateLoadTrace& trace, const ParkingConfig& config);
-
-/// Predictive policy: follows `forecast` (sorted by time), pre-waking
-/// `wake_latency` before each capacity increase. The trace supplies the
-/// actual offered load (forecast errors show up as buffering/loss).
-[[nodiscard]] ParkingResult simulate_parking_predictive(
-    const AggregateLoadTrace& trace, const std::vector<LoadForecast>& forecast,
-    const ParkingConfig& config);
-
 /// Reactive policy with fault-driven emergency recalls: inside each recall
-/// window all pipelines are forced awake and the rerouted `extra_load` is
-/// added to the offered trace; outside the windows behaves exactly like
-/// `simulate_parking_reactive` (an empty `recalls` is bit-identical to it).
-[[nodiscard]] ParkingResult simulate_parking_reactive_resilient(
-    const AggregateLoadTrace& trace,
-    const std::vector<EmergencyRecall>& recalls, const ParkingConfig& config);
+/// window every pipeline is forced awake; outside the windows it behaves
+/// exactly like ReactiveParkingPolicy. Run it on `with_recalls(trace)`, which
+/// adds the windows' rerouted load; `emergency_wakes()` then counts the
+/// pipelines the windows forced awake.
+class ResilientParkingPolicy : public ReactiveParkingPolicy {
+ public:
+  /// Throws std::invalid_argument unless every window is finite with
+  /// until > at and a finite extra_load >= 0.
+  ResilientParkingPolicy(ParkingConfig config,
+                         std::vector<EmergencyRecall> recalls);
+
+  [[nodiscard]] std::string_view name() const override {
+    return "parking-reactive-resilient";
+  }
+
+  /// `trace` (one channel) with segment boundaries added at the window
+  /// edges and each window's extra_load added inside it, clamped to 1.
+  /// Without recalls the trace is returned unchanged.
+  [[nodiscard]] LoadTrace with_recalls(const LoadTrace& trace) const;
+
+  [[nodiscard]] std::size_t emergency_wakes() const { return emergency_; }
+
+ protected:
+  [[nodiscard]] int desired_count(double t, double offered,
+                                  int provisioned) override;
+
+ private:
+  std::vector<EmergencyRecall> recalls_;
+  std::size_t emergency_ = 0;
+};
 
 }  // namespace netpp

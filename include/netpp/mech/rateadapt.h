@@ -12,8 +12,9 @@
 // Optionally, SerDes down-rating (§4.3: "set a 100G-capable interface at
 // 10G") scales port lane power to the smallest allowed step that covers the
 // load. Policies apply headroom (run slightly faster than the load) and
-// hysteresis with a minimum dwell time to avoid clock-flapping; the result
-// reports how many frequency transitions the policy incurred.
+// hysteresis with a minimum dwell time to avoid clock-flapping; the
+// MechanismReport counts the frequency transitions (`level_transitions`)
+// and the time-weighted mean frequency (`mean_level`).
 #pragma once
 
 #include <string_view>
@@ -46,15 +47,9 @@ struct RateAdaptConfig {
   std::vector<double> lane_steps;  ///< e.g. {0.25, 0.5, 1.0}
 };
 
-struct RateAdaptResult {
-  Joules energy{};
-  Watts average_power{};
-  /// 1 - energy / energy(kNone) over the same trace.
-  double savings_vs_none = 0.0;
-  std::size_t frequency_transitions = 0;
-  /// Time-weighted mean frequency across pipelines.
-  double mean_frequency = 1.0;
-};
+/// Throws std::invalid_argument unless `min_frequency` is in (0, 1] and
+/// `headroom` is non-negative. NaN fails both checks.
+void validate(const RateAdaptConfig& config);
 
 namespace detail {
 
@@ -68,7 +63,8 @@ namespace detail {
 /// Rate adaptation as a MechanismPolicy (§4.3): per segment, requests a
 /// target clock level per pipeline (headroom above the load, floored at
 /// min_frequency) through the timeline's hysteresis rules, and optionally
-/// down-rates SerDes lanes to the switch-wide mean load step.
+/// down-rates SerDes lanes to the switch-wide mean load step. The trace must
+/// have one channel per pipeline.
 class RateAdaptPolicy : public MechanismPolicy {
  public:
   RateAdaptPolicy(RateAdaptConfig config, RateAdaptMode mode);
@@ -88,10 +84,5 @@ class RateAdaptPolicy : public MechanismPolicy {
   std::vector<PortState> ports_;      ///< nominal (full-lane) ports
   std::vector<PortState> seg_ports_;  ///< current segment, possibly down-rated
 };
-
-/// Simulates one switch over the trace in the given mode.
-[[nodiscard]] RateAdaptResult simulate_rate_adaptation(
-    const PipelineLoadTrace& trace, const RateAdaptConfig& config,
-    RateAdaptMode mode);
 
 }  // namespace netpp

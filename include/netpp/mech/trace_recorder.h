@@ -1,17 +1,14 @@
-// Records per-switch load traces from a running FlowSimulator and converts
-// them into the trace formats the §4 mechanism simulators consume:
-// AggregateLoadTrace (whole-switch load, for pipeline parking) and
-// PipelineLoadTrace (per-pipeline load, for rate adaptation), with the
-// switch's ports assigned to pipelines round-robin — the fixed port->
-// pipeline mapping of a conventional ASIC (§4.4).
+// Records per-switch loads from a running FlowSimulator and returns them as
+// the LoadTrace the §4 mechanism policies consume: one channel for the
+// whole-switch load (pipeline parking), or one channel per pipeline (rate
+// adaptation), with the switch's ports assigned to pipelines round-robin —
+// the fixed port->pipeline mapping of a conventional ASIC (§4.4).
 #pragma once
 
 #include <map>
 #include <vector>
 
 #include "netpp/mech/load_trace.h"
-#include "netpp/mech/parking.h"
-#include "netpp/mech/rateadapt.h"
 #include "netpp/netsim/flowsim.h"
 #include "netpp/topo/graph.h"
 
@@ -30,7 +27,7 @@ class NodeLoadRecorder {
   /// Convenience adapter for FlowSimulator::set_load_listener.
   [[nodiscard]] FlowSimulator::LoadListener listener();
 
-  /// Unified adapter: the node's recorded samples as a `num_channels`-wide
+  /// The node's recorded samples as a `num_channels`-wide
   /// LoadTrace (1 channel == whole-node aggregate; one channel per pipeline
   /// == the round-robin port->pipeline mapping). Each sample opens a
   /// segment; consecutive identical segments are collapsed. The final
@@ -40,17 +37,6 @@ class NodeLoadRecorder {
   /// were recorded.
   [[nodiscard]] LoadTrace load_trace(NodeId node, int num_channels,
                                      Seconds end) const;
-
-  /// Whole-node load trace: carried bits over incident capacity, in [0, 1].
-  [[nodiscard]] AggregateLoadTrace aggregate_trace(NodeId node,
-                                                   Seconds end) const;
-
-  /// Per-pipeline trace: the node's incident directed links are assigned to
-  /// `num_pipelines` pipelines round-robin; a pipeline's load is its links'
-  /// carried rate over their capacity.
-  [[nodiscard]] PipelineLoadTrace pipeline_trace(NodeId node,
-                                                 int num_pipelines,
-                                                 Seconds end) const;
 
   [[nodiscard]] const std::vector<NodeId>& nodes() const { return nodes_; }
   [[nodiscard]] std::size_t num_samples() const { return times_.size(); }

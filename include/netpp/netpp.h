@@ -4,7 +4,7 @@
 // exploration, examples, and quick prototypes.
 //
 //   core     — the paper's Sec. 2-3 analytical models
-//   sim      — discrete-event substrate (engine, RNG, stats, energy)
+//   sim      — discrete-event substrate (engine, RNG, stats)
 //   topo     — explicit topologies, routing, max flow
 //   netsim   — flow-level network simulation + fabric energy tracking
 //   traffic  — workload generators and the closed training loop
@@ -29,7 +29,6 @@
 #include "netpp/workload/phase_model.h"
 
 // sim
-#include "netpp/sim/energy.h"
 #include "netpp/sim/engine.h"
 #include "netpp/sim/random.h"
 #include "netpp/sim/stats.h"

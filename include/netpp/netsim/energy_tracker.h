@@ -23,7 +23,7 @@
 #include "netpp/netsim/flowsim.h"
 #include "netpp/power/envelope.h"
 #include "netpp/power/switch_model.h"
-#include "netpp/sim/energy.h"
+#include "netpp/sim/stats.h"
 
 namespace netpp {
 
@@ -64,7 +64,9 @@ class FabricEnergyTracker {
   [[nodiscard]] Joules transceiver_energy(Seconds until) const;
 
   /// Paper §3.1 energy-efficiency metric over the whole fabric:
-  /// ideally-proportional energy / actual energy.
+  /// ideally-proportional energy (each device's max power times its
+  /// time-weighted useful load) / actual energy; 1 when no energy was
+  /// consumed.
   [[nodiscard]] double network_energy_efficiency(Seconds until) const;
 
   /// Max power if every device ran at max simultaneously.
@@ -85,7 +87,12 @@ class FabricEnergyTracker {
     /// `link` (two Device entries per optical link).
     NodeId node = kInvalidNode;
     LinkId link = kInvalidLink;
-    EnergyMeter meter;
+    /// Nameplate max power (the efficiency metric's ideal reference).
+    Watts max_power{};
+    /// Instantaneous draw in watts; its integral is the device's energy.
+    TimeWeighted power;
+    /// Useful load in [0, 1], for the efficiency metric.
+    TimeWeighted load;
   };
 
   [[nodiscard]] double device_load(const Device& device) const;

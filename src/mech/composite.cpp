@@ -25,26 +25,8 @@ StackedSwitchPolicy::StackedSwitchPolicy(ParkingConfig parking,
       ports_(static_cast<std::size_t>(parking_.model.config().num_ports),
              PortState{}),
       channel_loads_(static_cast<std::size_t>(pipes_), 0.0) {
-  if (parking_.min_active < 1 || parking_.min_active > pipes_) {
-    throw std::invalid_argument("min_active must be in [1, num_pipelines]");
-  }
-  if (parking_.wake_latency.value() < 0.0) {
-    throw std::invalid_argument("wake latency must be non-negative");
-  }
-  if (stages_.park && (parking_.hi_threshold <= 0.0 ||
-                       parking_.hi_threshold > 1.0 ||
-                       parking_.lo_threshold < 0.0 ||
-                       parking_.lo_threshold >= parking_.hi_threshold)) {
-    throw std::invalid_argument(
-        "ParkingConfig: need 0 <= lo_threshold < hi_threshold <= 1");
-  }
-  if (stages_.rate_adapt &&
-      (rate_.min_frequency <= 0.0 || rate_.min_frequency > 1.0)) {
-    throw std::invalid_argument("min_frequency must be in (0, 1]");
-  }
-  if (stages_.rate_adapt && rate_.headroom < 0.0) {
-    throw std::invalid_argument("headroom must be non-negative");
-  }
+  validate(parking_, stages_.park);
+  if (stages_.rate_adapt) validate(rate_);
   if (rate_.model.config().num_pipelines != pipes_) {
     throw std::invalid_argument(
         "StackedSwitchPolicy: parking and rate models must agree on the "
@@ -120,25 +102,12 @@ void StackedSwitchPolicy::observe(const LoadSegment& seg,
   // Stage 1 — parking decides the powered set from the aggregate load
   // (same reactive fixed-point as ReactiveParkingPolicy).
   if (stages_.park) {
-    for (int guard = 0; guard <= pipes_; ++guard) {
-      const int provisioned = timeline.provisioned();
-      const int target = std::clamp(
-          detail::reactive_parking_target(parking_, pipes_, offered_,
-                                          provisioned),
-          parking_.min_active, pipes_);
-      if (target == provisioned) break;
-      if (target > provisioned) {
-        for (int k = provisioned; k < target; ++k) timeline.wake_one();
-      } else {
-        int excess = provisioned - target;
-        while (excess > 0 && timeline.cancel_last_wake()) --excess;
-        while (excess > 0 &&
-               timeline.count(PowerState::kOn) > parking_.min_active) {
-          timeline.park_one();
-          --excess;
-        }
-      }
-    }
+    detail::steer_parking(
+        timeline, parking_.min_active, pipes_, [&](int provisioned) {
+          return detail::reactive_parking_target(
+              parking_.hi_threshold, parking_.lo_threshold, pipes_, offered_,
+              provisioned);
+        });
   }
 
   // Stage 2 — load placement and rate adaptation on the powered set. With

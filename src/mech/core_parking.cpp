@@ -75,30 +75,14 @@ void CoreParkingPolicy::observe(const LoadSegment& seg,
   const double offered =
       std::min(1.0, seg.loads.front() * load_scale_);
 
-  // The same reactive fixed-point as the pipeline policies, over switches:
-  // detail::reactive_parking_target only reads the thresholds, so a shim
-  // ParkingConfig keeps one hysteresis implementation for both tiers.
-  ParkingConfig shim;
-  shim.hi_threshold = config_.hi_threshold;
-  shim.lo_threshold = config_.lo_threshold;
-  for (int guard = 0; guard <= switches_; ++guard) {
-    const int provisioned = timeline.provisioned();
-    const int target = std::clamp(
-        detail::reactive_parking_target(shim, switches_, offered, provisioned),
-        config_.min_active, switches_);
-    if (target == provisioned) break;
-    if (target > provisioned) {
-      for (int k = provisioned; k < target; ++k) timeline.wake_one();
-    } else {
-      int excess = provisioned - target;
-      while (excess > 0 && timeline.cancel_last_wake()) --excess;
-      while (excess > 0 &&
-             timeline.count(PowerState::kOn) > config_.min_active) {
-        timeline.park_one();
-        --excess;
-      }
-    }
-  }
+  // The same reactive fixed-point as the pipeline policies, over switches.
+  detail::steer_parking(
+      timeline, config_.min_active, switches_, [&](int provisioned) {
+        return detail::reactive_parking_target(config_.hi_threshold,
+                                               config_.lo_threshold,
+                                               switches_, offered,
+                                               provisioned);
+      });
 
   // Load bookkeeping: the powered set carries the offered core load spread
   // evenly (ECMP), concentrated onto fewer switches as others park.

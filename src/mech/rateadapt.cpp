@@ -23,6 +23,16 @@ double pick_lane_step(const std::vector<double>& steps, double load) {
 
 }  // namespace detail
 
+void validate(const RateAdaptConfig& config) {
+  // Negated comparisons, so that NaN fails them.
+  if (!(config.min_frequency > 0.0 && config.min_frequency <= 1.0)) {
+    throw std::invalid_argument("min_frequency must be in (0, 1]");
+  }
+  if (!(config.headroom >= 0.0)) {
+    throw std::invalid_argument("headroom must be non-negative");
+  }
+}
+
 RateAdaptPolicy::RateAdaptPolicy(RateAdaptConfig config, RateAdaptMode mode)
     : config_(std::move(config)),
       mode_(mode),
@@ -30,12 +40,7 @@ RateAdaptPolicy::RateAdaptPolicy(RateAdaptConfig config, RateAdaptMode mode)
       ports_(static_cast<std::size_t>(config_.model.config().num_ports),
              PortState{}),
       seg_ports_(ports_) {
-  if (config_.min_frequency <= 0.0 || config_.min_frequency > 1.0) {
-    throw std::invalid_argument("min_frequency must be in (0, 1]");
-  }
-  if (config_.headroom < 0.0) {
-    throw std::invalid_argument("headroom must be non-negative");
-  }
+  validate(config_);
 }
 
 std::string_view RateAdaptPolicy::name() const {
@@ -51,6 +56,10 @@ std::string_view RateAdaptPolicy::name() const {
 }
 
 PowerStateTimeline RateAdaptPolicy::make_timeline(const LoadTrace& trace) {
+  if (trace.channels() != pipes_) {
+    throw std::invalid_argument(
+        "RateAdaptPolicy: trace needs one channel per pipeline");
+  }
   PowerStateTimeline timeline{
       pipes_, TransitionRules{Seconds{0.0}, Seconds{0.0}, config_.hysteresis},
       trace.times.front()};
@@ -119,23 +128,6 @@ void RateAdaptPolicy::observe(const LoadSegment& seg,
     const double lane = detail::pick_lane_step(config_.lane_steps, mean_load);
     for (auto& port : seg_ports_) port.lane_fraction = lane;
   }
-}
-
-RateAdaptResult simulate_rate_adaptation(const PipelineLoadTrace& trace,
-                                         const RateAdaptConfig& config,
-                                         RateAdaptMode mode) {
-  trace.validate(config.model.config().num_pipelines);
-  RateAdaptPolicy policy{config, mode};
-  const MechanismReport report =
-      run_mechanism(trace.to_load_trace(), policy);
-
-  RateAdaptResult result;
-  result.energy = report.energy;
-  result.average_power = report.average_power;
-  result.savings_vs_none = report.savings;
-  result.frequency_transitions = report.level_transitions;
-  result.mean_frequency = report.mean_level;
-  return result;
 }
 
 }  // namespace netpp

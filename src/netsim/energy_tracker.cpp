@@ -16,13 +16,17 @@ FabricEnergyTracker::FabricEnergyTracker(const FlowSimulator& sim,
       transceiver_env_(PowerEnvelope::from_proportionality(
           config.transceiver_max, config.network_proportionality)) {
   const Graph& g = sim.graph();
-  const Seconds start = Seconds{0.0};
+  // Every device starts at its idle draw with no useful load at t = 0.
+  const auto device = [](Device::Kind kind, NodeId node, LinkId link,
+                         Watts max, Watts idle) {
+    return Device{kind, node, link, max, TimeWeighted{idle.value()},
+                  TimeWeighted{0.0}};
+  };
 
   for (const auto& node : g.nodes()) {
     if (node.kind == NodeKind::kHost) {
-      devices_.push_back(Device{Device::Kind::kNic, node.id, kInvalidLink,
-                                EnergyMeter{config_.nic_max,
-                                            nic_env_.idle_power(), start}});
+      devices_.push_back(device(Device::Kind::kNic, node.id, kInvalidLink,
+                                config_.nic_max, nic_env_.idle_power()));
     } else if (node.kind == NodeKind::kSwitch) {
       const Watts max = config_.mode == DevicePowerMode::kComponent
                             ? config_.component_model.max_power()
@@ -30,17 +34,16 @@ FabricEnergyTracker::FabricEnergyTracker(const FlowSimulator& sim,
       const Watts idle = config_.mode == DevicePowerMode::kComponent
                              ? config_.component_model.idle_power()
                              : switch_env_.idle_power();
-      devices_.push_back(Device{Device::Kind::kSwitch, node.id, kInvalidLink,
-                                EnergyMeter{max, idle, start}});
+      devices_.push_back(
+          device(Device::Kind::kSwitch, node.id, kInvalidLink, max, idle));
     }
   }
   for (const auto& link : g.links()) {
     if (!link.optical) continue;
     for (int end = 0; end < 2; ++end) {
-      devices_.push_back(
-          Device{Device::Kind::kTransceiver, kInvalidNode, link.id,
-                 EnergyMeter{config_.transceiver_max,
-                             transceiver_env_.idle_power(), start}});
+      devices_.push_back(device(Device::Kind::kTransceiver, kInvalidNode,
+                                link.id, config_.transceiver_max,
+                                transceiver_env_.idle_power()));
     }
   }
 }
@@ -94,14 +97,14 @@ Watts FabricEnergyTracker::device_power(const Device& device,
 void FabricEnergyTracker::on_load_change(Seconds now) {
   for (auto& device : devices_) {
     const double load = device_load(device);
-    device.meter.set_power(now, device_power(device, load));
+    device.power.set(now, device_power(device, load).value());
     // In the paper's two-state model a device is either idle or "working at
     // full speed", so the ideal-proportional reference follows activity,
     // not utilization; component mode uses real utilization.
     const double useful = config_.mode == DevicePowerMode::kTwoState
                               ? (load > 0.0 ? 1.0 : 0.0)
                               : std::clamp(load, 0.0, 1.0);
-    device.meter.set_load(now, useful);
+    device.load.set(now, useful);
   }
 }
 
@@ -113,14 +116,16 @@ Joules FabricEnergyTracker::energy_of_kind(Device::Kind kind,
                                            Seconds until) const {
   Joules total{};
   for (const auto& device : devices_) {
-    if (device.kind == kind) total += device.meter.energy(until);
+    if (device.kind == kind) total += Joules{device.power.integral(until)};
   }
   return total;
 }
 
 Joules FabricEnergyTracker::network_energy(Seconds until) const {
   Joules total{};
-  for (const auto& device : devices_) total += device.meter.energy(until);
+  for (const auto& device : devices_) {
+    total += Joules{device.power.integral(until)};
+  }
   return total;
 }
 
@@ -149,15 +154,15 @@ double FabricEnergyTracker::network_energy_efficiency(Seconds until) const {
   double ideal = 0.0;
   for (const auto& device : devices_) {
     // Ideal: max power exactly while loaded (load-weighted), zero otherwise.
-    ideal += device.meter.max_power().value() *
-             device.meter.average_load(until) * until.value();
+    ideal += device.max_power.value() * device.load.average(until) *
+             until.value();
   }
   return ideal / actual;
 }
 
 Watts FabricEnergyTracker::max_network_power() const {
   Watts total{};
-  for (const auto& device : devices_) total += device.meter.max_power();
+  for (const auto& device : devices_) total += device.max_power;
   return total;
 }
 

@@ -1,10 +1,10 @@
-// Golden equivalence suite: every refactored §4 mechanism simulator must
-// reproduce the pre-refactor ("seed") outputs bit-identically on the fixed
-// scenarios in golden_inputs.h. The expected values below were recorded by
-// tests/mech/golden_record_main.cpp against the seed implementations, before
-// the mechanisms moved onto the unified PowerStateTimeline / run_mechanism
-// engine. Every comparison is exact (EXPECT_EQ on doubles, no tolerance):
-// the refactor must preserve floating-point operation order, not just
+// Golden equivalence suite: every §4 mechanism, built as a policy and run
+// through run_mechanism, must reproduce the pre-refactor ("seed") outputs
+// bit-identically on the fixed scenarios in golden_inputs.h. The expected
+// values below were recorded by tests/mech/golden_record_main.cpp against the
+// seed implementations, before the mechanisms moved onto the unified
+// PowerStateTimeline / run_mechanism engine. Every comparison is exact
+// (EXPECT_EQ on doubles, no tolerance): the refactor must preserve floating-point operation order, not just
 // "approximately the same answer".
 #include <gtest/gtest.h>
 
@@ -21,12 +21,17 @@ struct RateAdaptGolden {
   double mean_frequency = 0.0;
 };
 
-void expect_eq(const RateAdaptResult& r, const RateAdaptGolden& e) {
+void expect_eq(const MechanismReport& r, const RateAdaptGolden& e) {
   EXPECT_EQ(r.energy.value(), e.energy_j);
   EXPECT_EQ(r.average_power.value(), e.average_power_w);
-  EXPECT_EQ(r.savings_vs_none, e.savings);
-  EXPECT_EQ(r.frequency_transitions, e.transitions);
-  EXPECT_EQ(r.mean_frequency, e.mean_frequency);
+  EXPECT_EQ(r.savings, e.savings);
+  EXPECT_EQ(r.level_transitions, e.transitions);
+  EXPECT_EQ(r.mean_level, e.mean_frequency);
+}
+
+MechanismReport run_rateadapt(bool lanes, RateAdaptMode mode) {
+  RateAdaptPolicy policy{golden::rateadapt_config(lanes), mode};
+  return run_mechanism(golden::pipeline_trace(), policy);
 }
 
 TEST(GoldenEquivalence, RateAdaptationNone) {
@@ -36,10 +41,7 @@ TEST(GoldenEquivalence, RateAdaptationNone) {
   e.savings = 0x0p+0;  // 0
   e.transitions = 0;
   e.mean_frequency = 0x1p+0;  // 1
-  expect_eq(simulate_rate_adaptation(golden::pipeline_trace(),
-                                     golden::rateadapt_config(false),
-                                     RateAdaptMode::kNone),
-            e);
+  expect_eq(run_rateadapt(false, RateAdaptMode::kNone), e);
 }
 
 TEST(GoldenEquivalence, RateAdaptationGlobalAsic) {
@@ -49,10 +51,7 @@ TEST(GoldenEquivalence, RateAdaptationGlobalAsic) {
   e.savings = 0x1.bfa6ffc233e3p-5;  // 0.054645061043285259
   e.transitions = 20;
   e.mean_frequency = 0x1.446ff513cc1e1p-1;  // 0.63366666666666671
-  expect_eq(simulate_rate_adaptation(golden::pipeline_trace(),
-                                     golden::rateadapt_config(false),
-                                     RateAdaptMode::kGlobalAsic),
-            e);
+  expect_eq(run_rateadapt(false, RateAdaptMode::kGlobalAsic), e);
 }
 
 TEST(GoldenEquivalence, RateAdaptationPerPipeline) {
@@ -62,10 +61,7 @@ TEST(GoldenEquivalence, RateAdaptationPerPipeline) {
   e.savings = 0x1.33a8be305fe78p-4;  // 0.075112097669256417
   e.transitions = 20;
   e.mean_frequency = 0x1.fc5f92c5f92c6p-2;  // 0.49645833333333333
-  expect_eq(simulate_rate_adaptation(golden::pipeline_trace(),
-                                     golden::rateadapt_config(false),
-                                     RateAdaptMode::kPerPipeline),
-            e);
+  expect_eq(run_rateadapt(false, RateAdaptMode::kPerPipeline), e);
 }
 
 TEST(GoldenEquivalence, RateAdaptationPerPipelineWithLanes) {
@@ -75,10 +71,7 @@ TEST(GoldenEquivalence, RateAdaptationPerPipelineWithLanes) {
   e.savings = 0x1.aa97da1f4a604p-3;  // 0.20829744728079913
   e.transitions = 20;
   e.mean_frequency = 0x1.fc5f92c5f92c6p-2;  // 0.49645833333333333
-  expect_eq(simulate_rate_adaptation(golden::pipeline_trace(),
-                                     golden::rateadapt_config(true),
-                                     RateAdaptMode::kPerPipeline),
-            e);
+  expect_eq(run_rateadapt(true, RateAdaptMode::kPerPipeline), e);
 }
 
 struct ParkingGolden {
@@ -94,17 +87,18 @@ struct ParkingGolden {
   std::size_t emergency_wakes = 0;
 };
 
-void expect_eq(const ParkingResult& r, const ParkingGolden& e) {
+void expect_eq(const MechanismReport& r, std::size_t emergency_wakes,
+               const ParkingGolden& e) {
   EXPECT_EQ(r.energy.value(), e.energy_j);
   EXPECT_EQ(r.average_power.value(), e.average_power_w);
-  EXPECT_EQ(r.savings_vs_all_on, e.savings);
-  EXPECT_EQ(r.mean_active_pipelines, e.mean_active);
+  EXPECT_EQ(r.savings, e.savings);
+  EXPECT_EQ(r.mean_on_components, e.mean_active);
   EXPECT_EQ(r.wake_transitions, e.wakes);
   EXPECT_EQ(r.park_transitions, e.parks);
   EXPECT_EQ(r.max_buffered.value(), e.max_buffered_bits);
   EXPECT_EQ(r.dropped.value(), e.dropped_bits);
   EXPECT_EQ(r.max_added_delay.value(), e.max_added_delay_s);
-  EXPECT_EQ(r.emergency_wakes, e.emergency_wakes);
+  EXPECT_EQ(emergency_wakes, e.emergency_wakes);
 }
 
 TEST(GoldenEquivalence, ParkingReactive) {
@@ -118,9 +112,8 @@ TEST(GoldenEquivalence, ParkingReactive) {
   e.max_buffered_bits = 0x1.e848p+22;  // 8000000
   e.dropped_bits = 0x1.8727b6bcap+44;  // 26879976000000
   e.max_added_delay_s = 0x1.4f8b588e368f1p-21;  // 6.25e-07
-  expect_eq(simulate_parking_reactive(golden::aggregate_trace(),
-                                      golden::parking_config()),
-            e);
+  ReactiveParkingPolicy policy{golden::parking_config()};
+  expect_eq(run_mechanism(golden::aggregate_trace(), policy), 0, e);
 }
 
 TEST(GoldenEquivalence, ParkingPredictive) {
@@ -131,10 +124,8 @@ TEST(GoldenEquivalence, ParkingPredictive) {
   e.mean_active = 0x1.4p+1;  // 2.5
   e.wakes = 7;
   e.parks = 8;
-  expect_eq(simulate_parking_predictive(golden::aggregate_trace(),
-                                        golden::forecast(),
-                                        golden::parking_config()),
-            e);
+  PredictiveParkingPolicy policy{golden::parking_config(), golden::forecast()};
+  expect_eq(run_mechanism(golden::aggregate_trace(), policy), 0, e);
 }
 
 TEST(GoldenEquivalence, ParkingReactiveResilient) {
@@ -149,17 +140,20 @@ TEST(GoldenEquivalence, ParkingReactiveResilient) {
   e.dropped_bits = 0x1.ac686d5b80001p+44;  // 29439968000000.004
   e.max_added_delay_s = 0x1.4f8b588e368f1p-21;  // 6.25e-07
   e.emergency_wakes = 3;
-  expect_eq(simulate_parking_reactive_resilient(golden::aggregate_trace(),
-                                                golden::recalls(),
-                                                golden::parking_config()),
-            e);
+  ResilientParkingPolicy policy{golden::parking_config(), golden::recalls()};
+  const MechanismReport report =
+      run_mechanism(policy.with_recalls(golden::aggregate_trace()), policy);
+  expect_eq(report, policy.emergency_wakes(), e);
 }
 
 TEST(GoldenEquivalence, ResilientWithoutRecallsMatchesReactive) {
-  const auto reactive = simulate_parking_reactive(golden::aggregate_trace(),
-                                                  golden::parking_config());
-  const auto resilient = simulate_parking_reactive_resilient(
-      golden::aggregate_trace(), {}, golden::parking_config());
+  ReactiveParkingPolicy reactive_policy{golden::parking_config()};
+  const MechanismReport reactive =
+      run_mechanism(golden::aggregate_trace(), reactive_policy);
+  ResilientParkingPolicy resilient_policy{golden::parking_config(), {}};
+  const MechanismReport resilient = run_mechanism(
+      resilient_policy.with_recalls(golden::aggregate_trace()),
+      resilient_policy);
   EXPECT_EQ(reactive.energy.value(), resilient.energy.value());
   EXPECT_EQ(reactive.wake_transitions, resilient.wake_transitions);
   EXPECT_EQ(reactive.park_transitions, resilient.park_transitions);
@@ -167,15 +161,15 @@ TEST(GoldenEquivalence, ResilientWithoutRecallsMatchesReactive) {
 }
 
 TEST(GoldenEquivalence, Downrating) {
-  const auto r = simulate_downrating(golden::diurnal_trace(),
-                                     golden::downrate_config());
+  DownratePolicy policy{golden::downrate_config()};
+  const MechanismReport r = run_mechanism(golden::diurnal_trace(), policy);
   EXPECT_EQ(r.energy.value(), 0x1.3a88p+16);  // 80520
-  EXPECT_EQ(r.nominal_energy.value(), 0x1.77p+16);  // 96000
-  EXPECT_EQ(r.savings_fraction, 0x1.4a3d70a3d70a4p-3);  // 0.16125
-  EXPECT_EQ(r.transitions, 3u);
-  EXPECT_EQ(r.violation_time.value(), 0.0);
-  EXPECT_EQ(r.outage_time.value(), 0x1.3333333333334p-3);  // 0.15
-  EXPECT_EQ(r.mean_speed.value(), 0x1.068p+8);  // 262.5
+  EXPECT_EQ(r.baseline_energy.value(), 0x1.77p+16);  // 96000
+  EXPECT_EQ(r.savings, 0x1.4a3d70a3d70a4p-3);  // 0.16125
+  EXPECT_EQ(r.level_transitions, 3u);
+  EXPECT_EQ(policy.violation_time().value(), 0.0);
+  EXPECT_EQ(policy.outage_time().value(), 0x1.3333333333334p-3);  // 0.15
+  EXPECT_EQ(r.mean_level, 0x1.068p+8);  // 262.5
 }
 
 struct EeeGolden {

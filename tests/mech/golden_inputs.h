@@ -1,27 +1,30 @@
 // Deterministic input scenarios for the mechanism golden-equivalence suite.
 //
 // These inputs were fixed when the pre-refactor ("seed") simulators were
-// still in place; golden_equivalence_test.cpp pins every simulator's outputs
-// on them bit-for-bit. tools target `golden_record` re-prints the expected
-// values should they ever need re-recording (only legitimate after a
-// deliberate, documented behavior change).
+// still in place; golden_equivalence_test.cpp pins every mechanism's outputs
+// on them bit-for-bit. The `golden_record` target (golden_record_main.cpp)
+// re-prints the expected values should they ever need re-recording (only
+// legitimate after a deliberate, documented behavior change).
 #pragma once
 
 #include <vector>
 
 #include "netpp/mech/downrate.h"
 #include "netpp/mech/eee.h"
+#include "netpp/mech/load_trace.h"
+#include "netpp/mech/mechanism.h"
 #include "netpp/mech/parking.h"
 #include "netpp/mech/rateadapt.h"
 #include "netpp/units.h"
 
 namespace netpp::golden {
 
-inline PipelineLoadTrace pipeline_trace() {
-  PipelineLoadTrace trace;
+/// Four channels, one per pipeline of the default switch model.
+inline LoadTrace pipeline_trace() {
+  LoadTrace trace;
   trace.times = {Seconds{0.0},  Seconds{10.0}, Seconds{20.0},
                  Seconds{30.0}, Seconds{40.0}, Seconds{50.0}};
-  trace.pipeline_loads = {
+  trace.loads = {
       {0.9, 0.8, 0.7, 0.6},    {0.2, 0.1, 0.05, 0.3}, {0.5, 0.5, 0.5, 0.5},
       {0.05, 0.9, 0.1, 0.2},   {0.0, 0.0, 0.0, 0.0},  {0.6, 0.55, 0.62, 0.58},
   };
@@ -38,11 +41,12 @@ inline RateAdaptConfig rateadapt_config(bool lanes) {
   return config;
 }
 
-inline AggregateLoadTrace aggregate_trace() {
-  AggregateLoadTrace trace;
+/// One channel: the switch-aggregate load.
+inline LoadTrace aggregate_trace() {
+  LoadTrace trace;
   trace.times = {Seconds{0.0},  Seconds{5.0},  Seconds{10.0}, Seconds{15.0},
                  Seconds{20.0}, Seconds{25.0}, Seconds{30.0}, Seconds{35.0}};
-  trace.loads = {0.9, 0.2, 0.1, 0.85, 0.3, 0.95, 0.05, 0.5};
+  trace.loads = {{0.9}, {0.2}, {0.1}, {0.85}, {0.3}, {0.95}, {0.05}, {0.5}};
   trace.end = Seconds{40.0};
   return trace;
 }
@@ -65,9 +69,10 @@ inline std::vector<EmergencyRecall> recalls() {
           {Seconds{22.0}, Seconds{24.0}, 0.3}};
 }
 
-inline AggregateLoadTrace diurnal_trace() {
-  AggregateLoadTrace trace;
-  trace.loads = {0.9, 0.5, 0.2, 0.1, 0.15, 0.4, 0.8, 0.95};
+/// One channel: the link load over a day, in 600 s steps.
+inline LoadTrace diurnal_trace() {
+  LoadTrace trace;
+  trace.loads = {{0.9}, {0.5}, {0.2}, {0.1}, {0.15}, {0.4}, {0.8}, {0.95}};
   for (std::size_t i = 0; i < trace.loads.size(); ++i) {
     trace.times.push_back(Seconds{600.0 * static_cast<double>(i)});
   }

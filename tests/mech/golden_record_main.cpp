@@ -17,40 +17,45 @@ void field(const char* name, std::size_t v) {
   std::printf("    %s = %zu;\n", name, v);
 }
 
-void print_rateadapt(const char* tag, const RateAdaptResult& r) {
+void print_rateadapt(const char* tag, bool lanes, RateAdaptMode mode) {
+  RateAdaptPolicy policy{golden::rateadapt_config(lanes), mode};
+  const MechanismReport r = run_mechanism(golden::pipeline_trace(), policy);
   std::printf("  {  // %s\n", tag);
   field("e.energy_j", r.energy.value());
   field("e.average_power_w", r.average_power.value());
-  field("e.savings", r.savings_vs_none);
-  field("e.transitions", r.frequency_transitions);
-  field("e.mean_frequency", r.mean_frequency);
+  field("e.savings", r.savings);
+  field("e.transitions", r.level_transitions);
+  field("e.mean_frequency", r.mean_level);
   std::printf("  }\n");
 }
 
-void print_parking(const char* tag, const ParkingResult& r) {
+void print_parking(const char* tag, const MechanismReport& r,
+                   std::size_t emergency_wakes) {
   std::printf("  {  // %s\n", tag);
   field("e.energy_j", r.energy.value());
   field("e.average_power_w", r.average_power.value());
-  field("e.savings", r.savings_vs_all_on);
-  field("e.mean_active", r.mean_active_pipelines);
+  field("e.savings", r.savings);
+  field("e.mean_active", r.mean_on_components);
   field("e.wakes", r.wake_transitions);
   field("e.parks", r.park_transitions);
   field("e.max_buffered_bits", r.max_buffered.value());
   field("e.dropped_bits", r.dropped.value());
   field("e.max_added_delay_s", r.max_added_delay.value());
-  field("e.emergency_wakes", r.emergency_wakes);
+  field("e.emergency_wakes", emergency_wakes);
   std::printf("  }\n");
 }
 
-void print_downrate(const char* tag, const DownrateResult& r) {
+void print_downrate(const char* tag) {
+  DownratePolicy policy{golden::downrate_config()};
+  const MechanismReport r = run_mechanism(golden::diurnal_trace(), policy);
   std::printf("  {  // %s\n", tag);
   field("e.energy_j", r.energy.value());
-  field("e.nominal_energy_j", r.nominal_energy.value());
-  field("e.savings", r.savings_fraction);
-  field("e.transitions", r.transitions);
-  field("e.violation_s", r.violation_time.value());
-  field("e.outage_s", r.outage_time.value());
-  field("e.mean_speed_gbps", r.mean_speed.value());
+  field("e.nominal_energy_j", r.baseline_energy.value());
+  field("e.savings", r.savings);
+  field("e.transitions", r.level_transitions);
+  field("e.violation_s", policy.violation_time().value());
+  field("e.outage_s", policy.outage_time().value());
+  field("e.mean_speed_gbps", r.mean_level);
   std::printf("  }\n");
 }
 
@@ -72,33 +77,24 @@ void print_eee(const char* tag, const EeeResult& r) {
 int main() {
   using namespace netpp;
 
-  const auto ptrace = golden::pipeline_trace();
-  print_rateadapt("kNone", simulate_rate_adaptation(
-                               ptrace, golden::rateadapt_config(false),
-                               RateAdaptMode::kNone));
-  print_rateadapt("kGlobalAsic", simulate_rate_adaptation(
-                                     ptrace, golden::rateadapt_config(false),
-                                     RateAdaptMode::kGlobalAsic));
-  print_rateadapt("kPerPipeline", simulate_rate_adaptation(
-                                      ptrace, golden::rateadapt_config(false),
-                                      RateAdaptMode::kPerPipeline));
-  print_rateadapt("kPerPipeline+lanes",
-                  simulate_rate_adaptation(ptrace,
-                                           golden::rateadapt_config(true),
-                                           RateAdaptMode::kPerPipeline));
+  print_rateadapt("kNone", false, RateAdaptMode::kNone);
+  print_rateadapt("kGlobalAsic", false, RateAdaptMode::kGlobalAsic);
+  print_rateadapt("kPerPipeline", false, RateAdaptMode::kPerPipeline);
+  print_rateadapt("kPerPipeline+lanes", true, RateAdaptMode::kPerPipeline);
 
-  const auto atrace = golden::aggregate_trace();
-  print_parking("reactive",
-                simulate_parking_reactive(atrace, golden::parking_config()));
-  print_parking("predictive",
-                simulate_parking_predictive(atrace, golden::forecast(),
-                                            golden::parking_config()));
-  print_parking("resilient",
-                simulate_parking_reactive_resilient(
-                    atrace, golden::recalls(), golden::parking_config()));
+  const LoadTrace atrace = golden::aggregate_trace();
+  ReactiveParkingPolicy reactive{golden::parking_config()};
+  print_parking("reactive", run_mechanism(atrace, reactive), 0);
+  PredictiveParkingPolicy predictive{golden::parking_config(),
+                                     golden::forecast()};
+  print_parking("predictive", run_mechanism(atrace, predictive), 0);
+  ResilientParkingPolicy resilient{golden::parking_config(),
+                                   golden::recalls()};
+  const MechanismReport resilient_report =
+      run_mechanism(resilient.with_recalls(atrace), resilient);
+  print_parking("resilient", resilient_report, resilient.emergency_wakes());
 
-  print_downrate("downrate", simulate_downrating(golden::diurnal_trace(),
-                                                 golden::downrate_config()));
+  print_downrate("downrate");
 
   print_eee("eee", simulate_eee_link(golden::eee_config(false),
                                      golden::eee_frames(),

@@ -1,6 +1,6 @@
-// Tests for the unified LoadTrace and the shared validation helpers the
-// aggregate/per-pipeline variants now delegate to (the "TypeName:
-// constraint" error style).
+// Tests for LoadTrace: its shape accessors, its validation ("TypeName:
+// constraint" error style), resampling, and the channel-count checks of the
+// policies that read it.
 #include "netpp/mech/load_trace.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "netpp/mech/mechanism.h"
+#include "netpp/mech/parking.h"
+#include "netpp/mech/rateadapt.h"
 #include "netpp/units.h"
 
 namespace netpp {
@@ -86,29 +89,37 @@ TEST(LoadTrace, ValidationErrorsNameTheType) {
             "LoadTrace: needs at least one channel");
 }
 
-TEST(LoadTrace, SharedHelpersPrefixTheCallersTypeName) {
-  // Satellite 1: both legacy trace types route through the same helpers and
-  // keep their own names in the messages.
-  AggregateLoadTrace agg;
+TEST(LoadTrace, RejectsWhatTheLegacyTracesRejected) {
+  // Every input the former one-channel and per-pipeline trace structs
+  // rejected stays rejected: by LoadTrace::validate, or by the channel
+  // count of the policy that reads the trace.
+  LoadTrace agg;
   agg.times = {0.0_s};
-  agg.loads = {1.5};
+  agg.loads = {{1.5}};
   agg.end = 1.0_s;
   EXPECT_EQ(thrown_message([&] { agg.validate(); }),
-            "AggregateLoadTrace: loads must be finite and in [0, 1]");
-  agg.loads = {0.5, 0.7};
+            "LoadTrace: loads must be finite and in [0, 1]");
+  agg.loads = {{0.5}, {0.7}};
   EXPECT_EQ(thrown_message([&] { agg.validate(); }),
-            "AggregateLoadTrace: needs matching, non-empty times and loads");
+            "LoadTrace: needs matching, non-empty times and loads");
 
-  PipelineLoadTrace pipe;
+  LoadTrace pipe;
   pipe.times = {0.0_s, 1.0_s};
-  pipe.pipeline_loads = {{0.1, 0.2}, {0.3, 0.4}};
+  pipe.loads = {{0.1, 0.2}, {0.3, 0.4}};
   pipe.end = 1.0_s;
-  EXPECT_EQ(thrown_message([&] { pipe.validate(2); }),
-            "PipelineLoadTrace: end must be finite and after the last segment");
+  EXPECT_EQ(thrown_message([&] { pipe.validate(); }),
+            "LoadTrace: end must be finite and after the last segment");
   pipe.end = 2.0_s;
-  EXPECT_EQ(thrown_message([&] { pipe.validate(3); }),
-            "PipelineLoadTrace: segment arity != pipeline count");
-  EXPECT_NO_THROW(pipe.validate(2));
+  EXPECT_NO_THROW(pipe.validate());
+
+  // Two channels: not one per pipeline of the default four-pipeline switch,
+  // and not the single aggregate channel parking reads.
+  RateAdaptPolicy rate{RateAdaptConfig{}, RateAdaptMode::kPerPipeline};
+  EXPECT_EQ(thrown_message([&] { (void)run_mechanism(pipe, rate); }),
+            "RateAdaptPolicy: trace needs one channel per pipeline");
+  ReactiveParkingPolicy park{ParkingConfig{}};
+  EXPECT_EQ(thrown_message([&] { (void)run_mechanism(pipe, park); }),
+            "ParkingPolicy: trace must be single-channel aggregate load");
 }
 
 TEST(LoadTrace, LoadAtAndAggregateAt) {
@@ -158,51 +169,6 @@ TEST(LoadTrace, ResampledRejectsBadStep) {
   EXPECT_THROW(
       (void)trace.resampled(Seconds{std::numeric_limits<double>::infinity()}),
       std::invalid_argument);
-}
-
-TEST(LoadTrace, AggregateRoundTrip) {
-  AggregateLoadTrace agg;
-  agg.times = {0.0_s, 2.0_s};
-  agg.loads = {0.25, 0.75};
-  agg.end = 5.0_s;
-
-  const LoadTrace unified = agg.to_load_trace();
-  EXPECT_EQ(unified.channels(), 1);
-  EXPECT_DOUBLE_EQ(unified.loads[1][0], 0.75);
-
-  const AggregateLoadTrace back = AggregateLoadTrace::from_load_trace(unified);
-  EXPECT_EQ(back.times, agg.times);
-  EXPECT_EQ(back.loads, agg.loads);
-  EXPECT_DOUBLE_EQ(back.end.value(), agg.end.value());
-}
-
-TEST(LoadTrace, AggregateFromMultiChannelAverages) {
-  const AggregateLoadTrace agg =
-      AggregateLoadTrace::from_load_trace(make_trace());
-  ASSERT_EQ(agg.loads.size(), 3u);
-  EXPECT_DOUBLE_EQ(agg.loads[0], (0.2 + 0.4) / 2.0);
-  EXPECT_DOUBLE_EQ(agg.loads[1], (0.8 + 0.6) / 2.0);
-}
-
-TEST(LoadTrace, PipelineRoundTrip) {
-  const LoadTrace unified = make_trace();
-  const PipelineLoadTrace pipe = PipelineLoadTrace::from_load_trace(unified);
-  EXPECT_NO_THROW(pipe.validate(2));
-  EXPECT_DOUBLE_EQ(pipe.duration().value(), 4.0);
-
-  const LoadTrace back = pipe.to_load_trace();
-  EXPECT_EQ(back.times, unified.times);
-  EXPECT_EQ(back.loads, unified.loads);
-  EXPECT_DOUBLE_EQ(back.end.value(), unified.end.value());
-}
-
-TEST(LoadTrace, FromLoadTraceValidatesItsInput) {
-  LoadTrace bad = make_trace();
-  bad.loads[0][0] = 2.0;
-  EXPECT_THROW((void)AggregateLoadTrace::from_load_trace(bad),
-               std::invalid_argument);
-  EXPECT_THROW((void)PipelineLoadTrace::from_load_trace(bad),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -28,16 +28,16 @@ TEST(NodeLoadRecorder, RecordsLoadChanges) {
   rig.engine.run();
   EXPECT_GE(recorder.num_samples(), 2u);
 
-  const auto trace = recorder.aggregate_trace(rig.leaf, 3.0_s);
+  const LoadTrace trace = recorder.load_trace(rig.leaf, 1, 3.0_s);
   trace.validate();
   // Leaf has 3 links = 6 directed at 100 G; the flow crosses 2 at 100 G for
   // one second: load 1/3 during [1, 2).
   ASSERT_GE(trace.loads.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.loads.front(), 0.0);
+  EXPECT_DOUBLE_EQ(trace.loads.front()[0], 0.0);
   double peak = 0.0;
-  for (double l : trace.loads) peak = std::max(peak, l);
+  for (const auto& loads : trace.loads) peak = std::max(peak, loads[0]);
   EXPECT_NEAR(peak, 1.0 / 3.0, 1e-9);
-  EXPECT_DOUBLE_EQ(trace.loads.back(), 0.0);
+  EXPECT_DOUBLE_EQ(trace.loads.back()[0], 0.0);
 }
 
 TEST(NodeLoadRecorder, AggregateTraceIntegratesCorrectly) {
@@ -49,14 +49,14 @@ TEST(NodeLoadRecorder, AggregateTraceIntegratesCorrectly) {
                           Bits::from_gigabits(100.0), 1.0_s, 0});
   rig.engine.run();
 
-  const auto trace = recorder.aggregate_trace(rig.leaf, 3.0_s);
+  const LoadTrace trace = recorder.load_trace(rig.leaf, 1, 3.0_s);
   // Time-weighted mean load over [0, 3): (1/3 for 1 s) / 3 = 1/9.
   double integral = 0.0;
   for (std::size_t i = 0; i < trace.times.size(); ++i) {
     const double seg_end = (i + 1 < trace.times.size())
                                ? trace.times[i + 1].value()
                                : trace.end.value();
-    integral += trace.loads[i] * (seg_end - trace.times[i].value());
+    integral += trace.loads[i][0] * (seg_end - trace.times[i].value());
   }
   EXPECT_NEAR(integral / 3.0, 1.0 / 9.0, 1e-9);
 }
@@ -70,11 +70,12 @@ TEST(NodeLoadRecorder, PipelineTraceSplitsLinks) {
                           Bits::from_gigabits(100.0), 0.0_s, 0});
   rig.engine.run();
 
-  const auto trace = recorder.pipeline_trace(rig.leaf, 2, 2.0_s);
-  trace.validate(2);
+  const LoadTrace trace = recorder.load_trace(rig.leaf, 2, 2.0_s);
+  trace.validate();
+  EXPECT_EQ(trace.channels(), 2);
   // At some sample, at least one pipeline carried load; none exceeded 1.
   double peak = 0.0;
-  for (const auto& loads : trace.pipeline_loads) {
+  for (const auto& loads : trace.loads) {
     for (double l : loads) {
       peak = std::max(peak, l);
       EXPECT_LE(l, 1.0);
@@ -87,16 +88,17 @@ TEST(NodeLoadRecorder, UntrackedNodeThrows) {
   Rig rig;
   NodeLoadRecorder recorder{rig.sim, {rig.leaf}};
   recorder.sample(0.0_s);
-  EXPECT_THROW(recorder.aggregate_trace(rig.topo.hosts[0], 1.0_s),
+  EXPECT_THROW((void)recorder.load_trace(rig.topo.hosts[0], 1, 1.0_s),
                std::out_of_range);
-  EXPECT_THROW(recorder.pipeline_trace(rig.topo.hosts[0], 2, 1.0_s),
+  EXPECT_THROW((void)recorder.load_trace(rig.topo.hosts[0], 2, 1.0_s),
                std::out_of_range);
 }
 
 TEST(NodeLoadRecorder, NoSamplesThrows) {
   Rig rig;
   NodeLoadRecorder recorder{rig.sim, {rig.leaf}};
-  EXPECT_THROW(recorder.aggregate_trace(rig.leaf, 1.0_s), std::logic_error);
+  EXPECT_THROW((void)recorder.load_trace(rig.leaf, 1, 1.0_s),
+               std::logic_error);
 }
 
 TEST(NodeLoadRecorder, EmptyNodeListThrows) {
@@ -108,11 +110,9 @@ TEST(NodeLoadRecorder, InvalidPipelineCountThrows) {
   Rig rig;
   NodeLoadRecorder recorder{rig.sim, {rig.leaf}};
   recorder.sample(0.0_s);
-  EXPECT_THROW(recorder.pipeline_trace(rig.leaf, 0, 1.0_s),
+  EXPECT_THROW((void)recorder.load_trace(rig.leaf, 0, 1.0_s),
                std::invalid_argument);
 }
-
-// --- LoadTrace adapter (the unified entry both legacy adapters wrap) ------
 
 TEST(NodeLoadRecorder, LoadTraceOnEmptyRecorderThrows) {
   Rig rig;
@@ -166,9 +166,8 @@ TEST(NodeLoadRecorder, EndOnSegmentBoundaryDropsTheZeroWidthSegment) {
   EXPECT_DOUBLE_EQ(trace.end.value(), 2.0);
   EXPECT_DOUBLE_EQ(trace.segment_end(0).value(), 2.0);
 
-  // The adapters inherit the fix.
-  EXPECT_NO_THROW(recorder.aggregate_trace(rig.leaf, 2.0_s).validate());
-  EXPECT_NO_THROW(recorder.pipeline_trace(rig.leaf, 2, 2.0_s).validate(2));
+  // Every channel count gets the fix.
+  EXPECT_NO_THROW(recorder.load_trace(rig.leaf, 2, 2.0_s).validate());
 
   // A single sample that lands exactly on the end has no width at all.
   NodeLoadRecorder lone{rig.sim, {rig.leaf}};
@@ -178,6 +177,9 @@ TEST(NodeLoadRecorder, EndOnSegmentBoundaryDropsTheZeroWidthSegment) {
 }
 
 TEST(NodeLoadRecorder, SingleChannelMatchesAggregateTrace) {
+  // The one-channel trace is the whole-node aggregate: at every segment it
+  // equals the across-channel mean of a per-pipeline trace of the same node
+  // (the round-robin split gives both pipelines equal capacity here).
   Rig rig;
   NodeLoadRecorder recorder{rig.sim, {rig.leaf}};
   rig.sim.set_load_listener(recorder.listener());
@@ -187,13 +189,12 @@ TEST(NodeLoadRecorder, SingleChannelMatchesAggregateTrace) {
   rig.engine.run();
 
   const LoadTrace unified = recorder.load_trace(rig.leaf, 1, 3.0_s);
-  const AggregateLoadTrace agg = recorder.aggregate_trace(rig.leaf, 3.0_s);
-  ASSERT_EQ(unified.num_segments(), agg.times.size());
-  for (std::size_t i = 0; i < agg.times.size(); ++i) {
-    EXPECT_EQ(unified.times[i].value(), agg.times[i].value());
-    EXPECT_EQ(unified.loads[i][0], agg.loads[i]);
+  const LoadTrace pipes = recorder.load_trace(rig.leaf, 2, 3.0_s);
+  ASSERT_GE(unified.num_segments(), 2u);
+  for (std::size_t i = 0; i < unified.num_segments(); ++i) {
+    EXPECT_DOUBLE_EQ(unified.loads[i][0], pipes.aggregate_at(unified.times[i]));
   }
-  EXPECT_EQ(unified.end.value(), agg.end.value());
+  EXPECT_EQ(unified.end.value(), pipes.end.value());
 }
 
 }  // namespace

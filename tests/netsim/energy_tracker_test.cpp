@@ -96,6 +96,36 @@ TEST(FabricEnergyTracker, EfficiencyMatchesPaperMetric) {
   EXPECT_NEAR(tracker.network_energy_efficiency(10.0_s), 0.11, 0.01);
 }
 
+TEST(FabricEnergyTracker, EfficiencyOfPaperBaselineNetwork) {
+  // Paper §3.1: every device is 10% proportional and active for 1 s of a
+  // 10 s window, so each draws 0.9 max for 9 s and max for 1 s against an
+  // ideal of max for 1 s: efficiency 1 / (0.9 * 9 + 1) = 1 / 9.1.
+  Rig rig;
+  FabricEnergyTracker tracker{rig.sim, small_config()};
+  rig.sim.set_load_listener(tracker.listener());
+  tracker.on_load_change(0.0_s);
+  rig.sim.submit(FlowSpec{rig.topo.hosts[0], rig.topo.hosts[1],
+                          Bits::from_gigabits(100.0), 0.0_s, 0});
+  rig.engine.run();
+  rig.engine.run_until(10.0_s);
+  tracker.on_load_change(10.0_s);
+  EXPECT_NEAR(tracker.network_energy_efficiency(10.0_s),
+              1.0 / (0.9 * 9.0 + 1.0), 1e-9);
+}
+
+TEST(FabricEnergyTracker, EfficiencyWithNoEnergyIsOne) {
+  // Fully proportional devices draw nothing while idle: no traffic means no
+  // energy, and the metric reads 1 rather than 0/0.
+  Rig rig;
+  auto cfg = small_config();
+  cfg.network_proportionality = 1.0;
+  FabricEnergyTracker tracker{rig.sim, cfg};
+  tracker.on_load_change(0.0_s);
+  rig.engine.run_until(5.0_s);
+  EXPECT_DOUBLE_EQ(tracker.network_energy(5.0_s).value(), 0.0);
+  EXPECT_DOUBLE_EQ(tracker.network_energy_efficiency(5.0_s), 1.0);
+}
+
 TEST(FabricEnergyTracker, FullProportionalityIsFullyEfficient) {
   Rig rig;
   auto cfg = small_config();
@@ -131,7 +161,6 @@ TEST(FabricEnergyTracker, InvalidHorizonThrows) {
   EXPECT_THROW((void)tracker.average_network_power(Seconds{0.0}),
                std::invalid_argument);
 }
-
 
 TEST(FabricEnergyTracker, ReportUsesMaxPowerBaseline) {
   Rig rig;
