@@ -74,9 +74,10 @@ struct EmergencyRecall {
 };
 
 /// Throws std::invalid_argument unless `min_active` is in
-/// [1, num_pipelines] and `wake_latency` is non-negative; with `thresholds`
-/// (policies that read both hysteresis thresholds), also unless
-/// 0 <= lo_threshold < hi_threshold <= 1. NaN fails every check.
+/// [1, num_pipelines] and `wake_latency` and `buffer_capacity` are
+/// non-negative; with `thresholds` (policies that read both hysteresis
+/// thresholds), also unless 0 <= lo_threshold < hi_threshold <= 1. NaN fails
+/// every check.
 void validate(const ParkingConfig& config, bool thresholds);
 
 namespace detail {

@@ -48,7 +48,7 @@ struct RateAdaptConfig {
 };
 
 /// Throws std::invalid_argument unless `min_frequency` is in (0, 1] and
-/// `headroom` is non-negative. NaN fails both checks.
+/// `headroom` and `hysteresis` are non-negative. NaN fails every check.
 void validate(const RateAdaptConfig& config);
 
 namespace detail {

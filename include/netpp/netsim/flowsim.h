@@ -188,7 +188,9 @@ class FlowSimulator {
   }
 
   /// Listener called once per completed flow (before the post-completion
-  /// reallocation), e.g. to drive closed-loop workloads.
+  /// reallocation), e.g. to drive closed-loop workloads. It runs while the
+  /// event's due flows are being removed, so it may schedule (submit() only
+  /// schedules the admission) but must not add, remove or re-route flows.
   using CompletionListener = std::function<void(const FlowRecord&)>;
   void set_completion_listener(CompletionListener listener) {
     completion_listener_ = std::move(listener);
@@ -373,7 +375,12 @@ class FlowSimulator {
   double walk_seeded_closure(double cut);
   /// Starts a new generation of the walk's visit stamps.
   void next_bind_gen();
+  /// Cancels any pending completion event and schedules the next one from
+  /// a full completion scan of the active flows.
   void schedule_next_completion();
+  /// Schedules the completion event from completion-scan minima (see
+  /// soa::completion_scan), cancelling any pending one.
+  void schedule_completion(double min_quotient, double min_capped);
   /// Completion (re)scheduling after a fast arrival: the new flow is the
   /// only one whose completion estimate changed and it runs exactly at the
   /// uniform cap, so min(current event time, now + remaining / cap)
@@ -546,8 +553,8 @@ class FlowSimulator {
   std::vector<ActiveFlow> active_;
   // Hot per-flow scalars, parallel to active_ (structure-of-arrays; see the
   // ActiveFlow comment). Maintained in lockstep at every push and
-  // swap-and-pop: rate and remaining feed the soa::settle /
-  // soa::completion_scan kernels as dense 64-byte-aligned double streams;
+  // swap-and-pop: rate and remaining feed the soa::settle, settle_due and
+  // completion_scan kernels as dense 64-byte-aligned double streams;
   // begin/count are flow i's block in the flow_links_ arena.
   soa::AlignedVec<double> flow_rate_bps_;
   soa::AlignedVec<double> flow_remaining_;
@@ -655,6 +662,10 @@ class FlowSimulator {
   // (reset to full) by reallocate().
   std::vector<std::uint32_t> seed_links_;
   bool seed_valid_ = false;
+  // complete_due_flows' due list (soa::settle_due output): the slots of the
+  // flows due at one completion event, so it grows only to the most flows
+  // ever due at once, not to the active population.
+  soa::AlignedVec<std::uint32_t> due_;
   // The event's fill level: every fill round below it is the same before
   // and after the event. An arrival's is arrival_fill_level(), a completion
   // batch's the smallest departed flow's rate.

@@ -10,9 +10,10 @@
 //     the bulk of the range) and never value-initializes on resize, so
 //     re-using a workspace across solves costs exactly the bytes written.
 //
-//   - Branch-light kernels (div_shares, fill_unfrozen) with an optional
-//     explicit SSE2/AVX2 implementation behind NETPP_SIMD, selected at
-//     runtime from CPUID. Every path is bit-identical to the scalar loop:
+//   - Branch-light kernels (div_shares, fill_unfrozen, settle,
+//     completion_scan, settle_due) with an optional explicit SSE2/AVX2
+//     implementation behind NETPP_SIMD, selected at runtime from CPUID.
+//     Every path is bit-identical to the scalar loop:
 //     the kernels use only IEEE-exact operations (correctly-rounded vdivpd,
 //     blends, integer->double conversion), so the solver's results do not
 //     depend on the dispatch level. tests/netsim/fairshare_soa_test.cpp
@@ -184,5 +185,21 @@ void settle(double* remaining, const double* rate, double dt, std::size_t n);
 /// accumulators match the scalar scan bit for bit.
 void completion_scan(const double* remaining, const double* rate, double cap,
                      std::size_t n, double* min_quotient, double* min_capped);
+
+/// The completion-event pass: settle, due detection and the completion scan
+/// fused into one sweep over the columns. For i in [0, n) it
+///   - settles lane i exactly as settle() does (dt == 0 included);
+///   - appends i to `due` (cleared first; ascending order) when the settled
+///     remaining[i] <= due_bits;
+///   - when min_quotient and min_capped are non-null, reduces the lanes NOT
+///     listed in `due` exactly as completion_scan() would reduce them after
+///     the settle, so the minima are the same doubles completion_scan gives
+///     once the due lanes are removed.
+/// The vector bodies divide only in blocks that hold a lane below the cap.
+/// Lane indices must fit in 32 bits. Bit-identical on every path.
+void settle_due(double* remaining, const double* rate, double dt,
+                double due_bits, double cap, std::size_t n,
+                AlignedVec<std::uint32_t>& due, double* min_quotient,
+                double* min_capped);
 
 }  // namespace netpp::soa

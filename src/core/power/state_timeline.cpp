@@ -15,15 +15,16 @@ PowerStateTimeline::PowerStateTimeline(int num_components,
     throw std::invalid_argument(
         "PowerStateTimeline: needs at least one component");
   }
-  if (rules_.wake_latency.value() < 0.0) {
+  // Negated comparisons, so that NaN fails them.
+  if (!(rules_.wake_latency.value() >= 0.0)) {
     throw std::invalid_argument(
         "PowerStateTimeline: wake latency must be non-negative");
   }
-  if (rules_.min_dwell.value() < 0.0) {
+  if (!(rules_.min_dwell.value() >= 0.0)) {
     throw std::invalid_argument(
         "PowerStateTimeline: min dwell must be non-negative");
   }
-  if (rules_.level_hysteresis < 0.0) {
+  if (!(rules_.level_hysteresis >= 0.0)) {
     throw std::invalid_argument(
         "PowerStateTimeline: level hysteresis must be non-negative");
   }

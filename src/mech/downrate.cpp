@@ -27,17 +27,20 @@ DownratePolicy::DownratePolicy(DownrateConfig config)
   if (!std::is_sorted(config_.ladder.begin(), config_.ladder.end())) {
     throw std::invalid_argument("speed ladder must be ascending");
   }
+  // Negated comparisons, so that NaN fails them.
   for (double s : config_.ladder) {
-    if (s <= 0.0) throw std::invalid_argument("ladder speeds must be positive");
+    if (!(s > 0.0)) {
+      throw std::invalid_argument("ladder speeds must be positive");
+    }
   }
   if (std::fabs(config_.ladder.back() - config_.nominal.value()) > 1e-9) {
     throw std::invalid_argument("ladder must top out at the nominal speed");
   }
-  if (config_.gating_effectiveness < 0.0 ||
-      config_.gating_effectiveness > 1.0) {
+  if (!(config_.gating_effectiveness >= 0.0 &&
+        config_.gating_effectiveness <= 1.0)) {
     throw std::invalid_argument("gating effectiveness must be in [0, 1]");
   }
-  if (config_.headroom < 0.0) {
+  if (!(config_.headroom >= 0.0)) {
     throw std::invalid_argument("headroom must be non-negative");
   }
   nominal_power_w_ =

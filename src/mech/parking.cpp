@@ -18,6 +18,9 @@ void validate(const ParkingConfig& config, bool thresholds) {
   if (!(config.wake_latency.value() >= 0.0)) {
     throw std::invalid_argument("wake latency must be non-negative");
   }
+  if (!(config.buffer_capacity.value() >= 0.0)) {
+    throw std::invalid_argument("buffer capacity must be non-negative");
+  }
   if (thresholds &&
       !(config.hi_threshold > 0.0 && config.hi_threshold <= 1.0 &&
         config.lo_threshold >= 0.0 &&

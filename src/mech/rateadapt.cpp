@@ -31,6 +31,9 @@ void validate(const RateAdaptConfig& config) {
   if (!(config.headroom >= 0.0)) {
     throw std::invalid_argument("headroom must be non-negative");
   }
+  if (!(config.hysteresis >= 0.0)) {
+    throw std::invalid_argument("hysteresis must be non-negative");
+  }
 }
 
 RateAdaptPolicy::RateAdaptPolicy(RateAdaptConfig config, RateAdaptMode mode)

@@ -63,6 +63,35 @@ void completion_scan_scalar(const double* remaining, const double* rate,
   *min_capped = c;
 }
 
+// Lanes [0, n) of the columns are lanes [base, base + n) of the call, so the
+// vector bodies can finish their tails here. `q`/`c` carry the running
+// minima; kScan = false skips the reduction.
+template <bool kScan>
+void settle_due_scalar(double* remaining, const double* rate, double dt,
+                       double due_bits, double cap, std::size_t n,
+                       std::size_t base, AlignedVec<std::uint32_t>& due,
+                       double& q, double& c) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = rate[i];
+    const double next = remaining[i] - r * dt;
+    const double left = next > 0.0 ? next : 0.0;
+    remaining[i] = left;
+    if (left <= due_bits) {
+      due.push_back(static_cast<std::uint32_t>(base + i));
+      continue;
+    }
+    if constexpr (kScan) {
+      if (r <= 0.0) continue;
+      if (r == cap) {
+        if (left < c) c = left;
+      } else {
+        const double t = left / r;
+        if (t < q) q = t;
+      }
+    }
+  }
+}
+
 #if NETPP_SIMD_X86
 
 // The 2^31 problem-size bound (enforced by MaxMinSolver) makes the signed
@@ -204,6 +233,15 @@ void completion_scan_sse2(const double* remaining, const double* rate,
   *min_capped = ct < c ? ct : c;
 }
 
+// Horizontal min of the four lanes, in the scalar scan's `x < m` form.
+__attribute__((target("avx2"))) double hmin_avx2(__m256d v) {
+  double lanes[4];
+  _mm256_storeu_pd(lanes, v);
+  double m = lanes[0];
+  for (int l = 1; l < 4; ++l) m = lanes[l] < m ? lanes[l] : m;
+  return m;
+}
+
 __attribute__((target("avx2"))) void completion_scan_avx2(
     const double* remaining, const double* rate, double cap, std::size_t n,
     double* min_quotient, double* min_capped) {
@@ -221,17 +259,15 @@ __attribute__((target("avx2"))) void completion_scan_avx2(
     const __m256d eq_cap = _mm256_cmp_pd(r, vcap, _CMP_EQ_OQ);
     const __m256d at_cap = _mm256_and_pd(pos, eq_cap);
     const __m256d below = _mm256_andnot_pd(eq_cap, pos);
-    const __m256d quo = _mm256_div_pd(rem, r);
-    qacc = _mm256_min_pd(qacc, _mm256_blendv_pd(vinf, quo, below));
     cacc = _mm256_min_pd(cacc, _mm256_blendv_pd(vinf, rem, at_cap));
+    // Most blocks sit wholly at the cap: skip their divide.
+    if (_mm256_movemask_pd(below) != 0) {
+      const __m256d quo = _mm256_div_pd(rem, r);
+      qacc = _mm256_min_pd(qacc, _mm256_blendv_pd(vinf, quo, below));
+    }
   }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, qacc);
-  double q = lanes[0];
-  for (int l = 1; l < 4; ++l) q = lanes[l] < q ? lanes[l] : q;
-  _mm256_storeu_pd(lanes, cacc);
-  double c = lanes[0];
-  for (int l = 1; l < 4; ++l) c = lanes[l] < c ? lanes[l] : c;
+  const double q = hmin_avx2(qacc);
+  const double c = hmin_avx2(cacc);
   double qt;
   double ct;
   completion_scan_scalar(remaining + i, rate + i, cap, n - i, &qt, &ct);
@@ -239,7 +275,120 @@ __attribute__((target("avx2"))) void completion_scan_avx2(
   *min_capped = ct < c ? ct : c;
 }
 
+template <bool kScan>
+void settle_due_sse2(double* remaining, const double* rate, double dt,
+                     double due_bits, double cap, std::size_t n,
+                     AlignedVec<std::uint32_t>& due, double& q, double& c) {
+  const __m128d vdt = _mm_set1_pd(dt);
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d veps = _mm_set1_pd(due_bits);
+  const __m128d vcap = _mm_set1_pd(cap);
+  const __m128d vinf = _mm_set1_pd(std::numeric_limits<double>::infinity());
+  __m128d qacc = vinf;
+  __m128d cacc = vinf;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d r = _mm_loadu_pd(rate + i);
+    const __m128d rem = _mm_loadu_pd(remaining + i);
+    const __m128d left =
+        _mm_max_pd(_mm_sub_pd(rem, _mm_mul_pd(r, vdt)), zero);
+    _mm_storeu_pd(remaining + i, left);
+    const __m128d is_due = _mm_cmple_pd(left, veps);
+    for (int bits = _mm_movemask_pd(is_due); bits != 0; bits &= bits - 1) {
+      due.push_back(static_cast<std::uint32_t>(i + __builtin_ctz(bits)));
+    }
+    if constexpr (kScan) {
+      const __m128d live = _mm_andnot_pd(is_due, _mm_cmpgt_pd(r, zero));
+      const __m128d eq_cap = _mm_cmpeq_pd(r, vcap);
+      const __m128d at_cap = _mm_and_pd(live, eq_cap);
+      const __m128d below = _mm_andnot_pd(eq_cap, live);
+      cacc = _mm_min_pd(cacc, _mm_or_pd(_mm_and_pd(at_cap, left),
+                                        _mm_andnot_pd(at_cap, vinf)));
+      if (_mm_movemask_pd(below) != 0) {
+        const __m128d quo = _mm_div_pd(left, r);
+        qacc = _mm_min_pd(qacc, _mm_or_pd(_mm_and_pd(below, quo),
+                                          _mm_andnot_pd(below, vinf)));
+      }
+    }
+  }
+  if constexpr (kScan) {
+    double lanes[2];
+    _mm_storeu_pd(lanes, qacc);
+    q = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
+    _mm_storeu_pd(lanes, cacc);
+    c = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
+  }
+  settle_due_scalar<kScan>(remaining + i, rate + i, dt, due_bits, cap, n - i,
+                           i, due, q, c);
+}
+
+template <bool kScan>
+__attribute__((target("avx2"))) void settle_due_avx2(
+    double* remaining, const double* rate, double dt, double due_bits,
+    double cap, std::size_t n, AlignedVec<std::uint32_t>& due, double& q,
+    double& c) {
+  const __m256d vdt = _mm256_set1_pd(dt);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d veps = _mm256_set1_pd(due_bits);
+  const __m256d vcap = _mm256_set1_pd(cap);
+  const __m256d vinf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d qacc = vinf;
+  __m256d cacc = vinf;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d r = _mm256_loadu_pd(rate + i);
+    const __m256d rem = _mm256_loadu_pd(remaining + i);
+    const __m256d left =
+        _mm256_max_pd(_mm256_sub_pd(rem, _mm256_mul_pd(r, vdt)), zero);
+    _mm256_storeu_pd(remaining + i, left);
+    const __m256d is_due = _mm256_cmp_pd(left, veps, _CMP_LE_OQ);
+    for (int bits = _mm256_movemask_pd(is_due); bits != 0;
+         bits &= bits - 1) {
+      due.push_back(static_cast<std::uint32_t>(i + __builtin_ctz(bits)));
+    }
+    if constexpr (kScan) {
+      const __m256d live =
+          _mm256_andnot_pd(is_due, _mm256_cmp_pd(r, zero, _CMP_GT_OQ));
+      const __m256d eq_cap = _mm256_cmp_pd(r, vcap, _CMP_EQ_OQ);
+      const __m256d at_cap = _mm256_and_pd(live, eq_cap);
+      const __m256d below = _mm256_andnot_pd(eq_cap, live);
+      cacc = _mm256_min_pd(cacc, _mm256_blendv_pd(vinf, left, at_cap));
+      if (_mm256_movemask_pd(below) != 0) {
+        const __m256d quo = _mm256_div_pd(left, r);
+        qacc = _mm256_min_pd(qacc, _mm256_blendv_pd(vinf, quo, below));
+      }
+    }
+  }
+  if constexpr (kScan) {
+    q = hmin_avx2(qacc);
+    c = hmin_avx2(cacc);
+  }
+  settle_due_scalar<kScan>(remaining + i, rate + i, dt, due_bits, cap, n - i,
+                           i, due, q, c);
+}
+
 #endif  // NETPP_SIMD_X86
+
+template <bool kScan>
+void settle_due_at_level(double* remaining, const double* rate, double dt,
+                         double due_bits, double cap, std::size_t n,
+                         AlignedVec<std::uint32_t>& due, double& q,
+                         double& c) {
+  switch (active_simd_level()) {
+#if NETPP_SIMD_X86
+    case SimdLevel::kAvx2:
+      settle_due_avx2<kScan>(remaining, rate, dt, due_bits, cap, n, due, q, c);
+      return;
+    case SimdLevel::kSse2:
+      settle_due_sse2<kScan>(remaining, rate, dt, due_bits, cap, n, due, q, c);
+      return;
+#endif
+    default:
+      settle_due_scalar<kScan>(remaining, rate, dt, due_bits, cap, n, 0, due,
+                               q, c);
+      return;
+  }
+}
 
 }  // namespace
 
@@ -343,6 +492,23 @@ void completion_scan(const double* remaining, const double* rate, double cap,
                              min_capped);
       return;
   }
+}
+
+void settle_due(double* remaining, const double* rate, double dt,
+                double due_bits, double cap, std::size_t n,
+                AlignedVec<std::uint32_t>& due, double* min_quotient,
+                double* min_capped) {
+  due.clear();
+  double q = std::numeric_limits<double>::infinity();
+  double c = q;
+  if (min_quotient == nullptr || min_capped == nullptr) {
+    settle_due_at_level<false>(remaining, rate, dt, due_bits, cap, n, due, q,
+                               c);
+    return;
+  }
+  settle_due_at_level<true>(remaining, rate, dt, due_bits, cap, n, due, q, c);
+  *min_quotient = q;
+  *min_capped = c;
 }
 
 }  // namespace netpp::soa

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 
 namespace netpp {
@@ -136,6 +137,21 @@ TEST(Downrate, InvalidConfigsThrow) {
   EXPECT_THROW((void)downrate(trace, cfg), std::invalid_argument);
   cfg = DownrateConfig{};
   cfg.gating_effectiveness = 1.5;
+  EXPECT_THROW((void)downrate(trace, cfg), std::invalid_argument);
+}
+
+TEST(Downrate, NaNConfigsThrow) {
+  // Each of these used to run to a report that never down-rated.
+  const auto trace = constant_trace(0.5, 10.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  DownrateConfig cfg;
+  cfg.headroom = nan;
+  EXPECT_THROW((void)downrate(trace, cfg), std::invalid_argument);
+  cfg = DownrateConfig{};
+  cfg.gating_effectiveness = nan;
+  EXPECT_THROW((void)downrate(trace, cfg), std::invalid_argument);
+  cfg = DownrateConfig{};
+  cfg.ladder.front() = nan;
   EXPECT_THROW((void)downrate(trace, cfg), std::invalid_argument);
 }
 

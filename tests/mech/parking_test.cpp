@@ -191,6 +191,20 @@ TEST(Parking, InvalidConfigsThrow) {
       std::invalid_argument);
 }
 
+TEST(Parking, BufferCapacityMustBeNonNegative) {
+  // A negative or NaN buffer used to be accepted without an error.
+  auto cfg = default_config();
+  cfg.buffer_capacity = Bits{-1.0};
+  EXPECT_THROW((void)ReactiveParkingPolicy{cfg}, std::invalid_argument);
+  cfg.buffer_capacity = Bits{std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW((void)ReactiveParkingPolicy{cfg}, std::invalid_argument);
+  const std::vector<LoadForecast> forecast = {{Seconds{0.0}, 0.5}};
+  EXPECT_THROW((void)predictive_run(constant_trace(0.5, 1.0), forecast, cfg),
+               std::invalid_argument);
+  cfg.buffer_capacity = Bits{0.0};
+  EXPECT_NO_THROW((void)reactive_run(constant_trace(0.5, 1.0), cfg));
+}
+
 TEST(Parking, TraceValidation) {
   const auto cfg = default_config();
   LoadTrace empty;

@@ -209,6 +209,16 @@ TEST(RateAdapt, PolicyValidatesConfig) {
   cfg.min_frequency = nan;
   EXPECT_THROW((RateAdaptPolicy{cfg, RateAdaptMode::kPerPipeline}),
                std::invalid_argument);
+  // A negative or NaN hysteresis band used to run to a report.
+  cfg = default_config();
+  cfg.hysteresis = -0.01;
+  EXPECT_THROW((RateAdaptPolicy{cfg, RateAdaptMode::kPerPipeline}),
+               std::invalid_argument);
+  cfg = default_config();
+  cfg.hysteresis = nan;
+  EXPECT_THROW((RateAdaptPolicy{cfg, RateAdaptMode::kPerPipeline}),
+               std::invalid_argument);
+  EXPECT_THROW(validate(cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // SoA/SIMD bit-identity sweep: every compiled dispatch path of the soa.h
 // kernels (scalar, and with NETPP_SIMD also SSE2/AVX2 when the CPU has
 // them) must produce bit-identical results — both at the kernel level
-// (settle, completion_scan, div_shares, fill_unfrozen compared lane by lane
-// against the forced-scalar path) and end to end (the solver against the
-// verbatim pre-optimization reference, and the sparse solve_on/solve_arena
-// entry points against the dense solve()). force_simd_level() exists for
-// exactly this sweep; the suite runs under ASan/UBSan and TSan in CI.
+// (settle, completion_scan, settle_due, div_shares, fill_unfrozen compared
+// lane by lane against the forced-scalar path) and end to end (the solver
+// against the verbatim pre-optimization reference, and the sparse
+// solve_on/solve_arena entry points against the dense solve()).
+// force_simd_level() exists for exactly this sweep; the suite runs under
+// ASan/UBSan and TSan in CI.
 //
 // Comparisons use the raw double bits (std::bit_cast), not ==: the contract
 // is "same IEEE operations in the same order", which also pins signed
@@ -301,6 +302,105 @@ TEST(FairShareSoa, CompletionScanBitIdenticalAcrossPaths) {
       EXPECT_EQ(bits(min_capped), bits(want_capped))
           << "completion_scan capped, level " << soa::to_string(level)
           << ", trial " << trial;
+    }
+  }
+}
+
+TEST(FairShareSoa, SettleDueKernelBitIdenticalAcrossPaths) {
+  // settle_due against its definition: scalar settle, then the due
+  // predicate, then scalar completion_scan over the surviving lanes.
+  constexpr double kCap = 25e9;
+  constexpr double kDueBits = 1.0;
+  const auto levels = compiled_levels();
+  Rng rng{0x5D0Eull};
+  for (int trial = 0; trial < 80; ++trial) {
+    // Odd sizes put due lanes in every tail; larger ones fill whole blocks.
+    const auto n = static_cast<std::size_t>(
+        trial < 8 ? 2 * trial + 1 : rng.uniform_int(0, 67));
+    const double dt = trial % 4 == 0 ? 0.0 : rng.uniform(1e-6, 2e-3);
+    // Some trials run almost every lane at the cap, so whole blocks skip the
+    // divide; the rest mix at-cap, below-cap and zero-rate lanes.
+    const double p_cap = trial % 3 == 0 ? 0.97 : 0.4;
+    Lanes lanes;
+    lanes.remaining.resize(n);
+    lanes.rate.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double roll = rng.uniform();
+      if (roll < p_cap) {
+        lanes.rate[i] = kCap;
+      } else if (roll < p_cap + 0.4 * (1.0 - p_cap)) {
+        lanes.rate[i] = 0.0;
+      } else {
+        lanes.rate[i] = rng.uniform(1e3, 30e9);
+      }
+      const double step = lanes.rate[i] * dt;
+      const double kind = rng.uniform();
+      if (kind < 0.1) {
+        // Settles to kDueBits: exactly on zero-rate lanes and when dt = 0.
+        lanes.remaining[i] = kDueBits + step;
+      } else if (kind < 0.2) {
+        lanes.remaining[i] = rng.uniform(0.0, 0.9) * step;  // overshoots
+      } else if (kind < 0.25) {
+        lanes.remaining[i] = 0.0;
+      } else {
+        lanes.remaining[i] = step + rng.uniform(2.0, 50e9);
+      }
+    }
+    // Due lanes at the first, the last and two adjacent positions.
+    for (std::size_t i : {std::size_t{0}, n - 1, n / 2, n / 2 + 1}) {
+      if (i < n) lanes.remaining[i] = 0.5;
+    }
+
+    std::vector<double> want_remaining = lanes.remaining;
+    std::vector<std::uint32_t> want_due;
+    double want_quotient = kInf;
+    double want_capped = kInf;
+    {
+      ForcedLevel forced{soa::SimdLevel::kScalar};
+      soa::settle(want_remaining.data(), lanes.rate.data(), dt, n);
+      std::vector<double> live_remaining;
+      std::vector<double> live_rate;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (want_remaining[i] <= kDueBits) {
+          want_due.push_back(static_cast<std::uint32_t>(i));
+        } else {
+          live_remaining.push_back(want_remaining[i]);
+          live_rate.push_back(lanes.rate[i]);
+        }
+      }
+      soa::completion_scan(live_remaining.data(), live_rate.data(), kCap,
+                           live_rate.size(), &want_quotient, &want_capped);
+    }
+
+    for (const soa::SimdLevel level : levels) {
+      ForcedLevel forced{level};
+      for (const bool scan : {true, false}) {
+        std::vector<double> got = lanes.remaining;
+        soa::AlignedVec<std::uint32_t> due;
+        due.push_back(12345);  // stale content the kernel must clear
+        double min_quotient = 0.0;
+        double min_capped = 0.0;
+        soa::settle_due(got.data(), lanes.rate.data(), dt, kDueBits, kCap, n,
+                        due, scan ? &min_quotient : nullptr,
+                        scan ? &min_capped : nullptr);
+        const std::string where = std::string("level ") +
+                                  soa::to_string(level) + ", scan " +
+                                  (scan ? "on" : "off") + ", trial " +
+                                  std::to_string(trial);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(bits(got[i]), bits(want_remaining[i]))
+              << where << ", lane " << i;
+        }
+        ASSERT_EQ(std::vector<std::uint32_t>(due.begin(), due.end()),
+                  want_due)
+            << where;
+        if (scan) {
+          EXPECT_EQ(bits(min_quotient), bits(want_quotient)) << where;
+          EXPECT_EQ(bits(min_capped), bits(want_capped)) << where;
+        } else {
+          EXPECT_EQ(min_quotient, 0.0) << where << ": minima written";
+        }
+      }
     }
   }
 }

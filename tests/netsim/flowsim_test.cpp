@@ -82,6 +82,34 @@ TEST(FlowSimulator, FlowRateCapThrottles) {
   EXPECT_NEAR(sim.completed()[0].fct().value(), 4.0, 1e-6);
 }
 
+TEST(FlowSimulator, SimultaneousCompletionsKeepSwapRemoveOrder) {
+  // Seven flows at a 10 G cap share an unsaturated 100 G path, so every
+  // departure takes the fast path. The 10 Gbit flows in slots 0, 2, 3, 5
+  // and 6 (the last slot) all finish at exactly t = 1. The event departs
+  // them in ascending slot order, and swap-and-pop refills a freed slot
+  // from the last one, which departs next when it is due too: A, then G
+  // and F out of the tail, then C and the adjacent D.
+  FlowSimulator::Config config;
+  config.flow_rate_cap = 10_Gbps;
+  Dumbbell d;
+  FlowSimulator sim{d.topo.graph, d.router, d.engine, config};
+  const double gigabits[] = {10.0, 20.0, 10.0, 10.0, 30.0, 10.0, 10.0};
+  for (std::uint64_t tag = 0; tag < 7; ++tag) {
+    sim.submit(FlowSpec{d.topo.hosts[0], d.topo.hosts[1],
+                        Bits::from_gigabits(gigabits[tag]), 0.0_s, tag});
+  }
+  d.engine.run();
+  const std::uint64_t want_tags[] = {0, 6, 5, 2, 3, 1, 4};
+  const double want_fct[] = {1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0};
+  ASSERT_EQ(sim.completed().size(), 7u);
+  for (std::size_t k = 0; k < 7; ++k) {
+    EXPECT_EQ(sim.completed()[k].spec.tag, want_tags[k]) << "position " << k;
+    EXPECT_EQ(sim.completed()[k].fct().value(), want_fct[k])
+        << "position " << k;
+  }
+  EXPECT_EQ(sim.realloc_stats().fast_departures, 7u);
+}
+
 TEST(FlowSimulator, UnroutableFlowIsCounted) {
   Dumbbell d;
   const auto& adj = d.topo.graph.neighbors(d.topo.hosts[0]);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace netpp {
@@ -19,6 +20,18 @@ TEST(StateTimeline, ConstructorValidates) {
       std::invalid_argument);
   EXPECT_THROW(
       PowerStateTimeline(2, TransitionRules{Seconds{0.0}, Seconds{0.0}, -0.1}),
+      std::invalid_argument);
+}
+
+TEST(StateTimeline, ConstructorRejectsNaNRules) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(PowerStateTimeline(2, TransitionRules{Seconds{nan}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      PowerStateTimeline(2, TransitionRules{Seconds{0.0}, Seconds{nan}}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      PowerStateTimeline(2, TransitionRules{Seconds{0.0}, Seconds{0.0}, nan}),
       std::invalid_argument);
 }
 
